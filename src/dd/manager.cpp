@@ -359,6 +359,7 @@ std::size_t DdManager::collect_garbage() {
 
 Edge DdManager::cache_lookup(std::uint32_t op, Edge f, Edge g,
                              Edge h) noexcept {
+  if (cache_stale_) cache_clear();
   ++cache_lookups_;
   const std::uint64_t lo = (static_cast<std::uint64_t>(f) << 32) | g;
   const std::uint64_t hi = (static_cast<std::uint64_t>(h) << 32) | op;
@@ -388,7 +389,12 @@ void DdManager::cache_insert(std::uint32_t op, Edge f, Edge g, Edge h,
 }
 
 void DdManager::cache_clear() noexcept {
+  static const metrics::Counter c_clear("dd.cache.clear");
+  static const metrics::Counter c_slots("dd.cache.clear.slots");
+  c_clear.add();
+  c_slots.add(cache_.size());
   for (CacheEntry& e : cache_) e = CacheEntry{};
+  cache_stale_ = false;
 }
 
 // ---------------------------------------------------------------------------

@@ -263,6 +263,12 @@ class DdManager {
   std::vector<std::uint32_t> var_at_level_;
 
   std::vector<CacheEntry> cache_;
+  /// Set by a swap that frees nodes: the cache may name recycled indices.
+  /// The flush is deferred to the next cache_lookup (the only reader), so
+  /// a sift pays for at most one flush however many swaps free nodes, and
+  /// a sift stopped between swaps by the governor still leaves no stale
+  /// entry readable.
+  bool cache_stale_ = false;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_lookups_ = 0;
   std::uint64_t gc_runs_ = 0;

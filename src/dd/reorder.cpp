@@ -52,11 +52,11 @@ std::size_t DdManager::swap_adjacent_levels(std::uint32_t level) {
 
   // Collect u's live nodes and empty its table. Dead u-nodes are freed on
   // the spot (their children were dereferenced when they died); the cache
-  // is cleared when that happens because it may still point at them.
+  // may still point at them, so it is marked stale and flushed before its
+  // next lookup. A swap never reads the cache (make_node only).
   UniqueTable& table_u = unique_[u];
   std::vector<std::uint32_t> pending;
   pending.reserve(table_u.count);
-  bool freed_any = false;
   for (std::uint32_t& bucket : table_u.buckets) {
     std::uint32_t p = bucket;
     while (p != kNilIndex) {
@@ -67,7 +67,7 @@ std::size_t DdManager::swap_adjacent_levels(std::uint32_t level) {
         nodes_[p].next = free_list_;
         free_list_ = p;
         --dead_;
-        freed_any = true;
+        cache_stale_ = true;
       } else {
         pending.push_back(p);
       }
@@ -76,7 +76,6 @@ std::size_t DdManager::swap_adjacent_levels(std::uint32_t level) {
     bucket = kNilIndex;
   }
   table_u.count = 0;
-  if (freed_any) cache_clear();
 
   auto insert_into = [&](std::uint32_t var, std::uint32_t idx) {
     maybe_resize_table(var);
@@ -200,6 +199,8 @@ std::size_t DdManager::sift_variable(std::uint32_t var, double max_growth) {
 
 std::size_t DdManager::sift(double max_growth) {
   CFPM_TRACE_SPAN("dd.sift");
+  static const metrics::Counter c_sift("dd.reorder.sift");
+  c_sift.add();
   collect_garbage();
   const std::size_t before = live_;
 

@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -161,7 +162,13 @@ void write_frame(int fd, MsgType type, std::string_view payload) {
   const std::string frame = encode_frame(type, payload);
   std::size_t off = 0;
   while (off < frame.size()) {
-    const ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
+    // MSG_NOSIGNAL: a peer that hung up is an IoError for this connection,
+    // not a SIGPIPE that kills the whole process (daemon or client).
+    ssize_t n = ::send(fd, frame.data() + off, frame.size() - off,
+                       MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) {
+      n = ::write(fd, frame.data() + off, frame.size() - off);
+    }
     if (n < 0) {
       if (errno == EINTR) continue;
       throw IoError(std::string("wire: write failed: ") + std::strerror(errno));

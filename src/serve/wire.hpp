@@ -76,7 +76,8 @@ void check_payload(std::string_view payload, std::uint32_t expected_crc);
 
 // ----- blocking fd transport (Unix socket / pipe) --------------------------
 
-/// Writes one frame to `fd`, looping over partial writes. Throws IoError.
+/// Writes one frame to `fd`, looping over partial writes. Throws IoError,
+/// also when a socket's peer has closed (no SIGPIPE is raised).
 void write_frame(int fd, MsgType type, std::string_view payload);
 
 /// Reads one frame from `fd`. Returns false on clean EOF at a frame

@@ -127,6 +127,7 @@ void ThreadPool::run_indexed(std::size_t count,
     }
     return;
   }
+  std::lock_guard<std::mutex> batch(batch_mutex_);
   std::unique_lock<std::mutex> lock(mutex_);
   job_ = &fn;
   job_count_ = count;

@@ -47,6 +47,9 @@ class ThreadPool {
   /// pool; the calling thread participates. Blocks until all indices are
   /// done. Which thread runs which index is unspecified. If any invocation
   /// throws, one of the exceptions is rethrown here after the batch drains.
+  /// Safe to call from several threads at once: concurrent batches run one
+  /// after another (each caller waits for the batches ahead of it). `fn`
+  /// must not call run_indexed on the same pool — that would deadlock.
   void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Enqueues a detached task for some worker to run; returns immediately.
@@ -71,6 +74,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 
+  /// Held by a multi-lane run_indexed for its whole batch: the batch state
+  /// below describes one batch at a time.
+  std::mutex batch_mutex_;
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable batch_done_;

@@ -5,7 +5,9 @@
 // construction afterwards.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <vector>
 
 #include "dd/approx.hpp"
 #include "dd/manager.hpp"
@@ -150,6 +152,80 @@ TEST(ExceptionSafety, RepeatedFaultsDoNotAccumulateLeaks) {
   mgr.collect_garbage();
   EXPECT_EQ(mgr.live_nodes(), baseline);
   EXPECT_EQ(mgr.unique_table_nodes(), mgr.live_nodes());
+}
+
+std::vector<double> table_of(const Add& f, std::uint32_t vars) {
+  std::vector<double> t;
+  for (unsigned m = 0; m < (1u << vars); ++m) {
+    std::vector<std::uint8_t> a(vars);
+    for (unsigned v = 0; v < vars; ++v) a[v] = (m >> v) & 1u;
+    t.push_back(f.eval(a));
+  }
+  return t;
+}
+
+/// Deterministic apply/ite workload over operands rebuilt on every call;
+/// returns the truth table of each result.
+std::vector<std::vector<double>> op_tables(DdManager& mgr,
+                                           std::uint32_t vars) {
+  std::vector<Add> sums;
+  std::vector<Bdd> conds;
+  for (std::uint32_t k = 0; k < vars; ++k) {
+    const std::uint32_t a = k;
+    const std::uint32_t b = (k + 3) % vars;
+    const std::uint32_t c = (k + 5) % vars;
+    conds.push_back((mgr.bdd_var(a) & !mgr.bdd_var(b)) ^ mgr.bdd_var(c));
+    sums.push_back(Add(conds.back()).times(k + 1.0) +
+                   Add(mgr.bdd_var(b) | mgr.bdd_var(c)).times(2.0 * k + 3.0));
+  }
+  std::vector<std::vector<double>> tables;
+  for (std::uint32_t k = 0; k + 1 < vars; ++k) {
+    tables.push_back(table_of(sums[k] + sums[k + 1], vars));
+    tables.push_back(table_of(sums[k].max(sums[(k + 4) % vars]), vars));
+    const Bdd sel = conds[k].ite(conds[k + 1], conds[(k + 2) % vars]);
+    tables.push_back(table_of(Add(sel), vars));
+  }
+  return tables;
+}
+
+TEST(ExceptionSafety, DeadlineBetweenSiftSwapsLeavesNoStaleCacheEntry) {
+  // Swaps free dead nodes and recycle their indices while the computed
+  // cache still names them. A deadline can stop a reordering pass at any
+  // checkpoint between two swaps, so no flush placed at the end of the
+  // pass may be relied on: whatever the manager computes next must match
+  // a fresh manager.
+  constexpr std::uint32_t kVars = 8;
+  DdManager reference(kVars);
+  const auto expected = op_tables(reference, kVars);
+  for (std::uint32_t stop_at = 1; stop_at < kVars; ++stop_at) {
+    auto governor = std::make_shared<Governor>();
+    DdConfig config;
+    config.governor = governor;
+    DdManager mgr(kVars, config);
+    Add survivor = weighted_sum(mgr, kVars);
+    const auto survivor_table = table_of(survivor, kVars);
+    op_tables(mgr, kVars);  // results dropped: dead nodes, cached entries
+
+    // The pass sifts variables in turn; the deadline expires after
+    // `stop_at` of them and fires at the next variable's first checkpoint.
+    try {
+      for (std::uint32_t v = 0; v < kVars; ++v) {
+        if (v == stop_at) governor->set_deadline(std::chrono::milliseconds(0));
+        mgr.sift_variable(v);
+      }
+      FAIL() << "deadline did not fire";
+    } catch (const DeadlineExceeded&) {
+    }
+    governor->clear_deadline();
+    expect_table_consistent(mgr);
+
+    EXPECT_EQ(op_tables(mgr, kVars), expected) << "stopped at " << stop_at;
+    EXPECT_EQ(table_of(survivor, kVars), survivor_table);
+    const auto doubled = table_of(survivor + survivor, kVars);
+    for (std::size_t m = 0; m < doubled.size(); ++m) {
+      EXPECT_EQ(doubled[m], 2 * survivor_table[m]);
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "dd/manager.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace cfpm::dd {
@@ -137,6 +138,88 @@ TEST(Reorder, HandlesStayValidAcrossManySwaps) {
   for (std::size_t i = 0; i < funcs.size(); ++i) {
     EXPECT_EQ(table_of(funcs[i], kVars), tables[i]) << "function " << i;
   }
+}
+
+/// A seeded battery of apply and ite calls over fresh operands; returns
+/// the truth table of every result. Run on two managers with the same seed
+/// it must produce the same tables, whatever the managers' history.
+std::vector<std::vector<double>> op_battery(DdManager& mgr, std::uint64_t seed,
+                                            std::size_t vars) {
+  Xoshiro256 rng(seed);
+  std::vector<Add> adds;
+  std::vector<Bdd> bdds;
+  for (int i = 0; i < 6; ++i) adds.push_back(random_add(mgr, rng, vars, 5));
+  for (int i = 0; i < 6; ++i) {
+    Bdd a = mgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(vars)));
+    Bdd b = mgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(vars)));
+    Bdd c = mgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(vars)));
+    bdds.push_back((a & !b) | (b ^ c));
+  }
+  std::vector<std::vector<double>> tables;
+  for (std::size_t i = 0; i < adds.size(); ++i) {
+    for (std::size_t j = i + 1; j < adds.size(); ++j) {
+      tables.push_back(table_of(adds[i] + adds[j], vars));
+      tables.push_back(table_of(adds[i].max(adds[j]), vars));
+      tables.push_back(table_of(adds[i] * adds[j], vars));
+    }
+  }
+  for (std::size_t i = 0; i + 2 < bdds.size(); ++i) {
+    const Bdd r = bdds[i].ite(bdds[i + 1], bdds[i + 2]);
+    tables.push_back(table_of(Add(r), vars));
+    tables.push_back(table_of(Add(bdds[i] & bdds[i + 1]), vars));
+  }
+  return tables;
+}
+
+TEST(Reorder, SiftRecycledIndicesNeverHitStaleCacheEntries) {
+  // Fill the computed cache with apply/ite results, drop every handle so
+  // those nodes die, then sift variable by variable (no leading GC, unlike
+  // sift()): the swaps free the dead nodes and reuse their indices for new
+  // ones. Re-running the same operations must agree with a fresh manager —
+  // a cache entry keyed on a recycled index would return a wrong function.
+  constexpr std::size_t kVars = 8;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    DdManager mgr(kVars);
+    Xoshiro256 rng(seed * 101);
+    Add keep = random_add(mgr, rng, kVars, 12);
+    const auto tk = table_of(keep, kVars);
+    op_battery(mgr, seed, kVars);  // results dropped; the cache keeps them
+    ASSERT_GT(mgr.dead_nodes(), 0u);
+    for (std::uint32_t v = 0; v < kVars; ++v) mgr.sift_variable(v);
+
+    DdManager fresh(kVars);
+    EXPECT_EQ(op_battery(mgr, seed, kVars), op_battery(fresh, seed, kVars))
+        << "seed " << seed;
+    EXPECT_EQ(table_of(keep, kVars), tk);
+  }
+}
+
+TEST(Reorder, SiftFlushesTheCacheAtMostOnce) {
+  if (!metrics::compiled_in()) GTEST_SKIP() << "metrics compiled out";
+  constexpr std::size_t kVars = 10;
+  DdManager mgr(kVars);
+  Xoshiro256 rng(41);
+  Add keep = random_add(mgr, rng, kVars, 24);
+  const auto tk = table_of(keep, kVars);
+  op_battery(mgr, 3, kVars);  // dead nodes: sift()'s leading GC flushes
+  ASSERT_GT(mgr.dead_nodes(), 0u);
+
+  // The swaps free the nodes that die while levels move; flushing for each
+  // such swap would show here as thousands of flushes.
+  const metrics::Snapshot before = metrics::snapshot();
+  mgr.sift();
+  // The deferred flush happens at the first lookup after the sift.
+  const auto doubled = table_of(keep + keep, kVars);
+  const metrics::Snapshot after = metrics::snapshot();
+  auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  ASSERT_GT(delta("dd.reorder.swap"), 0u);
+  EXPECT_EQ(delta("dd.reorder.sift"), 1u);
+  EXPECT_LE(delta("dd.cache.clear"), 1 + delta("dd.gc.run"));
+  const std::size_t slots = std::size_t{1} << DdConfig{}.cache_log2_slots;
+  EXPECT_EQ(delta("dd.cache.clear.slots"), delta("dd.cache.clear") * slots);
+  for (std::size_t m = 0; m < tk.size(); ++m) EXPECT_EQ(doubled[m], 2 * tk[m]);
 }
 
 }  // namespace

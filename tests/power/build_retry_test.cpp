@@ -10,6 +10,7 @@
 #include "netlist/generators.hpp"
 #include "netlist/library.hpp"
 #include "power/add_model.hpp"
+#include "power/cone_partition.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
@@ -29,14 +30,11 @@ netlist::Netlist multi_cone_netlist() {
 }
 
 netlist::Netlist single_cone_netlist() {
-  netlist::gen::RandomLogicSpec spec;
-  spec.name = "retry_single";
-  spec.num_inputs = 6;
-  spec.num_outputs = 1;  // exactly one task: fault placement is deterministic
-  spec.target_gates = 18;
-  spec.window = 5;
-  spec.seed = 9092;
-  return netlist::gen::random_logic(spec);
+  // Every gate feeds the one output, so the partition is exactly one task
+  // and fault placement is deterministic. (A one-output random_logic
+  // netlist can leave gates off the output cone, which become a second
+  // task.)
+  return netlist::gen::parity_tree(6);
 }
 
 /// Fingerprints a model on random transitions for bitwise comparison.
@@ -92,6 +90,9 @@ TEST_F(BuildRetry, TransientConeFaultIsRetriedTransparently) {
 
 TEST_F(BuildRetry, ExhaustedRetriesRebuildSeriallyOnTheCoordinator) {
   const netlist::Netlist n = single_cone_netlist();
+  // With a second task on another lane, the fire budget would split
+  // between the tasks by timing.
+  ASSERT_EQ(power::partition_gate_cones(n).size(), 1u);
   const auto clean = power::AddPowerModel::build(n, lib_, fault_options(2));
 
   // Default policy: 3 attempts. Budget of exactly 3 fires exhausts them,

@@ -4,6 +4,7 @@
 #include "serve/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -315,6 +316,15 @@ TEST(Wire, MidFrameEofIsAnIoError) {
   ::close(fds[1]);
   Frame out;
   EXPECT_THROW(read_frame(fds[0], out), IoError);
+  ::close(fds[0]);
+}
+
+TEST(Wire, WriteToClosedSocketPeerIsAnIoError) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  // Must throw rather than raise SIGPIPE, which would end the process.
+  EXPECT_THROW(write_frame(fds[0], MsgType::kPong, "reply"), IoError);
   ::close(fds[0]);
 }
 

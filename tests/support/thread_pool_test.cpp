@@ -91,6 +91,47 @@ TEST(ThreadPool, PooledPathPropagatesOneException) {
   EXPECT_EQ(ran.load(), 64u);
 }
 
+// Two threads sharing one pool (the daemon's eval pool serves every
+// connection): each batch must run exactly its own indices and both callers
+// must return. Unserialized, a second caller would overwrite the batch in
+// flight and one of them would wait forever.
+TEST(ThreadPool, ConcurrentBatchesFromTwoCallersComplete) {
+  ThreadPool pool(3);
+  constexpr std::size_t kCount = 64;
+  constexpr std::size_t kRounds = 200;
+  // Each index does a little work so the two callers' batches overlap.
+  auto value = [](std::size_t salt, std::size_t round, std::size_t i) {
+    std::uint64_t x = salt * 1000003 + round * kCount + i;
+    for (int k = 0; k < 2000; ++k) x = x * 6364136223846793005ULL + 1;
+    return x;
+  };
+  std::atomic<int> ready{0};
+  std::atomic<std::size_t> bad_rounds{0};
+  auto caller = [&](std::size_t salt) {
+    ++ready;
+    while (ready.load() < 2) std::this_thread::yield();
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      std::vector<std::uint64_t> out(kCount, 0);
+      std::vector<std::atomic<int>> hits(kCount);
+      pool.run_indexed(kCount, [&](std::size_t i) {
+        out[i] = value(salt, round, i);
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < kCount; ++i) {
+        if (out[i] != value(salt, round, i) || hits[i].load() != 1) {
+          ++bad_rounds;
+          break;
+        }
+      }
+    }
+  };
+  std::thread a(caller, 1);
+  std::thread b(caller, 2);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_rounds.load(), 0u);
+}
+
 TEST(ThreadPool, ZeroCountIsANoOp) {
   ThreadPool pool(2);
   bool called = false;
