@@ -87,7 +87,6 @@ ModelSource make_model_source(const ChipBuildOptions& options) {
     power::ModelOptions mo;
     mo.add.max_nodes = options.max_nodes;
     mo.add.degrade = options.degrade;
-    mo.add.build_threads = options.build_threads;
     // Fresh governor per macro: a deadline bounds each macro build on its
     // own clock, so one slow macro cannot starve the rest of the library.
     auto governor = std::make_shared<Governor>();

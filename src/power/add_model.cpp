@@ -7,13 +7,9 @@
 
 #include "dd/serialize.hpp"
 #include "dd/stats.hpp"
-#include "power/cone_partition.hpp"
 #include "support/assert.hpp"
 #include "support/error.hpp"
-#include "support/failpoint.hpp"
 #include "support/metrics.hpp"
-#include "support/retry.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
@@ -45,15 +41,6 @@ class SymbolicBuilder {
       : n_(n), loads_(loads), options_(options) {}
 
   AddPowerModel run() {
-    const std::size_t threads =
-        options_.build_threads != 0
-            ? options_.build_threads
-            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    return threads > 1 ? run_parallel(threads) : run_serial();
-  }
-
- private:
-  AddPowerModel run_serial() {
     Timer timer;
     const std::size_t num_inputs = n_.num_inputs();
     CFPM_REQUIRE(num_inputs >= 1);
@@ -182,217 +169,7 @@ class SymbolicBuilder {
     return model;
   }
 
-  /// Cone-parallel Fig. 6: the gate sum is partitioned into per-output
-  /// fanin cones (partition_gate_cones — a pure function of the netlist),
-  /// each cone's partial sum is built in its own DdManager on a pool
-  /// worker, and the partials are merged into the shared manager through
-  /// the textual DD serializer in fixed task order. Everything that can
-  /// alter the result (partition, per-worker collapse points, merge order,
-  /// final reorder/approximation) is thread-count-independent, so any two
-  /// thread counts produce bit-identical models. Workers never sift: the
-  /// serializer records the variable order, and importing under an order
-  /// differing from the shared manager's would require a fresh manager per
-  /// partial; with identity order everywhere the imports all land in one
-  /// manager and merged nodes dedupe against each other.
-  AddPowerModel run_parallel(std::size_t threads) {
-    Timer timer;
-    const std::size_t num_inputs = n_.num_inputs();
-    CFPM_REQUIRE(num_inputs >= 1);
-    CFPM_REQUIRE(loads_.size() == n_.num_signals());
-    AddModelBuildInfo info;
-
-    const std::vector<ConeTask> tasks = partition_gate_cones(n_);
-    cfpm::Governor* governor = options_.dd_config.governor.get();
-    const std::size_t inner_cap =
-        options_.max_nodes == 0 ? 0 : options_.max_nodes * 64;
-
-    static const metrics::Counter c_parallel("power.build.parallel.run");
-    static const metrics::Counter c_cone("power.build.parallel.cone");
-    static const metrics::Counter c_retry("power.build.cone.retry");
-    static const metrics::Counter c_serial_fb(
-        "power.build.cone.serial_fallback");
-    c_parallel.add();
-    c_cone.add(tasks.size());
-
-    struct TaskResult {
-      std::string dd_text;  ///< serialized partial sum (format v2)
-      std::size_t approximations = 0;
-      std::size_t peak_live_nodes = 0;
-    };
-    std::vector<TaskResult> results(tasks.size());
-    std::vector<std::size_t> retry_counts(tasks.size(), 0);
-    std::vector<char> needs_rebuild(tasks.size(), 0);
-
-    // A cone build is a pure function of (netlist, options, t): reruns —
-    // worker retries and the coordinator's serial fallback alike — produce
-    // byte-identical dd_text, which is what keeps the bit-identical-across-
-    // thread-counts guarantee intact under transient faults.
-    auto build_cone = [&](std::size_t t) {
-      CFPM_FAILPOINT("power.cone.build");
-      const ConeTask& task = tasks[t];
-      TaskResult& res = results[t];
-      res = TaskResult{};  // retries and the serial fallback start clean
-      // Fresh manager per cone; shares the governor (thread-safe), so the
-      // deadline/cancellation cover the whole fleet and every cone is
-      // checkpointed per gate exactly like the serial loop.
-      dd::DdManager wmgr(2 * num_inputs, options_.dd_config);
-      std::vector<dd::Bdd> g_i(n_.num_signals());
-      std::vector<dd::Bdd> g_f(n_.num_signals());
-      std::vector<bool> owned(n_.num_signals(), false);
-      for (const SignalId s : task.owned) owned[s] = true;
-      // Release discipline mirrors the serial loop, restricted to the
-      // support-induced subgraph this worker actually builds.
-      std::vector<std::uint32_t> pending(n_.num_signals(), 0);
-      for (const SignalId s : task.support) {
-        for (const SignalId f : n_.fanins(s)) ++pending[f];
-      }
-      auto release_if_done = [&](SignalId s) {
-        if (pending[s] == 0) {
-          g_i[s] = dd::Bdd();
-          g_f[s] = dd::Bdd();
-        }
-      };
-
-      dd::Add partial = wmgr.constant(0.0);
-      for (const SignalId s : task.support) {
-        if (governor != nullptr) governor->checkpoint();
-        const auto& sig = n_.signal(s);
-        if (sig.is_input) {
-          const std::uint32_t idx = n_.input_index(s);
-          g_i[s] = wmgr.bdd_var(
-              map_var(options_.order, idx, false, num_inputs));
-          g_f[s] = wmgr.bdd_var(
-              map_var(options_.order, idx, true, num_inputs));
-          continue;
-        }
-        g_i[s] = build_gate(wmgr, sig.type, s, g_i);
-        g_f[s] = build_gate(wmgr, sig.type, s, g_f);
-        if (owned[s]) {
-          dd::Bdd rising = (!g_i[s]) & g_f[s];
-          dd::Add delta = dd::Add(rising).times(loads_[s]);
-          rising = dd::Bdd();
-          if (options_.delta_max_nodes != 0 &&
-              delta.size() > options_.delta_max_nodes) {
-            delta = dd::approximate_to(delta, options_.delta_max_nodes,
-                                       options_.mode);
-            ++res.approximations;
-          }
-          partial = partial + delta;
-          // In-construction collapsing is per-cone here (no sifting — see
-          // the merge contract above); the collapse points depend only on
-          // the task's gate list, never on scheduling.
-          if (options_.approximate_during_construction && inner_cap != 0 &&
-              partial.size() > inner_cap) {
-            partial = dd::approximate_to(partial, inner_cap, options_.mode);
-            ++res.approximations;
-          }
-        }
-        res.peak_live_nodes = std::max(res.peak_live_nodes,
-                                       wmgr.live_nodes());
-        for (const SignalId f : n_.fanins(s)) {
-          CFPM_ASSERT(pending[f] > 0);
-          --pending[f];
-          release_if_done(f);
-        }
-        release_if_done(s);
-      }
-      std::ostringstream os;
-      dd::write_add(os, partial);
-      res.dd_text = std::move(os).str();
-    };
-
-    // Deadlines and cancellations are verdicts on the whole build, not this
-    // attempt — never retried. Everything else (allocation pressure, node
-    // budget, injected faults) may be transient and is worth another try.
-    auto transient = [](std::exception_ptr ep) {
-      try {
-        std::rethrow_exception(ep);
-      } catch (const DeadlineExceeded&) {
-        return false;
-      } catch (const CancelledError&) {
-        return false;
-      } catch (...) {
-        return true;
-      }
-    };
-
-    auto run_task = [&](std::size_t t) {
-      try {
-        run_with_retry(options_.cone_retry, [&] { build_cone(t); }, transient,
-                       &retry_counts[t]);
-      } catch (const DeadlineExceeded&) {
-        throw;
-      } catch (const CancelledError&) {
-        throw;
-      } catch (...) {
-        // Retry budget exhausted: park the cone for the coordinator's
-        // serial rebuild below instead of failing the whole batch.
-        needs_rebuild[t] = 1;
-      }
-    };
-
-    {
-      // The pool rethrows one worker exception after the batch drains, so
-      // DeadlineExceeded/ResourceError/CancelledError reach the ladder in
-      // build() exactly as they do from the serial loop.
-      ThreadPool pool(std::min(threads, std::max<std::size_t>(tasks.size(),
-                                                              1)));
-      pool.run_indexed(tasks.size(), run_task);
-    }
-
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      info.cone_retries += retry_counts[t];
-      if (needs_rebuild[t] == 0) continue;
-      // Last resort before the ladder: one governed rebuild on the
-      // coordinator, with the pool gone and its memory returned. A failure
-      // here is persistent, not transient — it propagates to the
-      // degradation ladder in build() like any serial-path failure.
-      c_serial_fb.add();
-      ++info.cone_serial_rebuilds;
-      build_cone(t);
-    }
-    if (info.cone_retries > 0) c_retry.add(info.cone_retries);
-
-    // Deterministic merge: import and add in task order.
-    auto mgr = std::make_shared<dd::DdManager>(2 * num_inputs,
-                                               options_.dd_config);
-    dd::Add total = mgr->constant(0.0);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (governor != nullptr) governor->checkpoint();
-      CFPM_FAILPOINT("power.cone.merge");
-      std::istringstream is(results[t].dd_text);
-      total = total + dd::read_add(is, *mgr);
-      info.approximations += results[t].approximations;
-      info.peak_live_nodes =
-          std::max(info.peak_live_nodes, results[t].peak_live_nodes);
-      results[t].dd_text = std::string();  // free eagerly
-      info.peak_live_nodes = std::max(info.peak_live_nodes,
-                                      mgr->live_nodes());
-    }
-    mgr->collect_garbage();
-
-    // Same tail as the serial path: reorder, then enforce the budget.
-    if (options_.max_nodes != 0 && total.size() > options_.max_nodes) {
-      for (unsigned pass = 0; pass < options_.reorder_passes; ++pass) {
-        if (mgr->sift() == 0) break;  // converged
-      }
-      ++info.reorder_runs;
-    }
-    if (options_.max_nodes != 0 && total.size() > options_.max_nodes) {
-      total = dd::approximate_to(total, options_.max_nodes, options_.mode);
-      ++info.approximations;
-    }
-    mgr->collect_garbage();
-
-    info.build_seconds = timer.seconds();
-    info.exact_if_zero = info.approximations;
-
-    AddPowerModel model(std::move(mgr), std::move(total), num_inputs,
-                        options_.order, options_.mode, n_.name());
-    model.build_info_ = info;
-    return model;
-  }
-
+ private:
   dd::Bdd build_gate(dd::DdManager& mgr, netlist::GateType type, SignalId s,
                      const std::vector<dd::Bdd>& env) {
     using netlist::GateType;

@@ -25,7 +25,6 @@
 #include "netlist/netlist.hpp"
 #include "power/power_model.hpp"
 #include "support/governor.hpp"
-#include "support/retry.hpp"
 
 namespace cfpm::power {
 
@@ -64,26 +63,6 @@ struct AddModelOptions {
   bool degrade = true;
   /// Smallest MAX the ladder will retry with before the constant fallback.
   std::size_t degrade_floor = 16;
-  /// Worker lanes for construction. 1 (default) runs the serial Fig. 6
-  /// loop; >1 builds independent per-output fanin cones in separate
-  /// DdManager instances on a support::ThreadPool and merges the partial
-  /// sums into the shared manager via a deterministic serialize/import
-  /// step (0 = hardware concurrency). The gate partition and the merge
-  /// order depend only on the netlist, so the parallel result is
-  /// bit-identical across thread counts; it can differ from the serial
-  /// path only in where mid-construction approximation/reordering cuts in
-  /// (never for exact builds with exactly-representable load sums).
-  std::size_t build_threads = 1;
-  /// Self-healing for parallel builds: a cone task that throws anything but
-  /// DeadlineExceeded/CancelledError is retried under this policy on its
-  /// worker, and after the last retry fails the coordinator rebuilds the
-  /// cone serially before the merge. Because a cone build is a
-  /// deterministic function of (netlist, options), a retried or serially
-  /// rebuilt cone serializes to the same bytes as an undisturbed one, so
-  /// the bit-identical-across-thread-counts guarantee survives any number
-  /// of transient faults. Only a fault that also defeats the serial rebuild
-  /// escalates to the degradation ladder (see `degrade`).
-  RetryPolicy cone_retry;
 };
 
 /// How the model left the builder (see AddModelOptions::degrade).
@@ -112,14 +91,6 @@ struct AddModelBuildInfo {
   std::vector<BuildRung> rungs;     ///< ladder rungs taken, in order
   /// Total attempts across the ladder (1 for a clean build).
   std::size_t attempts = 1;
-  /// Parallel builds only: cone-task retries absorbed by
-  /// AddModelOptions::cone_retry (0 for an undisturbed build)...
-  std::size_t cone_retries = 0;
-  /// ...and cones the coordinator had to rebuild serially after the retry
-  /// budget was exhausted. Nonzero values mean transient faults were
-  /// absorbed; the model itself is unaffected (bit-identical to a clean
-  /// run).
-  std::size_t cone_serial_rebuilds = 0;
 };
 
 class AddPowerModel final : public PowerModel {

@@ -45,9 +45,8 @@ std::uint64_t micros(double seconds) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      eval_pool_(options_.eval_threads == 0 ? 0 : options_.eval_threads),
-      build_pool_(options_.build_pool_threads == 0 ? 0
-                                                   : options_.build_pool_threads) {
+      eval_pool_(options_.eval_threads),
+      build_pool_(options_.build_pool_threads) {
   if (options_.socket_path.empty()) {
     throw ContractError("Server: socket_path must not be empty");
   }
@@ -76,7 +75,8 @@ void Server::request_shutdown(bool from_signal) noexcept {
   stop_.store(true, std::memory_order_release);
   // Wake the blocked accept(2). shutdown on a listening socket makes it
   // return immediately; both calls here are async-signal-safe.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  const int fd = listen_fd_.load();
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 int Server::run() {
@@ -132,8 +132,6 @@ int Server::run() {
   log("drained " + std::to_string(drained) + " connection(s)");
 
   persist();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
 
   const bool by_signal = stopped_by_signal_.load(std::memory_order_relaxed);
@@ -477,7 +475,6 @@ service::ChipReply Server::handle_chip(const wire::Frame& frame) {
     br.options.kind = kind;
     br.options.max_nodes = request.max_nodes;
     br.options.degrade = request.degrade;
-    br.options.build_threads = request.build_threads;
     br.options.deadline_ms = request.deadline_ms;
     service::BuildReply reply = build_model(std::move(br));
     chip::SourcedModel out;

@@ -1,4 +1,5 @@
-// cfpmd — the long-lived power-model server.
+// cfpm serve — the long-lived power-model server (its log and error lines
+// keep the historical `cfpmd:` prefix).
 //
 // One process owns a content-addressed Registry of compiled models and
 // answers wire-protocol queries over a Unix-domain socket:
@@ -154,15 +155,18 @@ class Server {
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
-  int listen_fd_ = -1;
+  // Set by run(), read by request_shutdown() from any thread or a signal
+  // handler. Closed only by the destructor, so a concurrent shutdown(2)
+  // can never hit a recycled descriptor.
+  std::atomic<int> listen_fd_{-1};
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_by_signal_{false};
 };
 
 /// Runs `server` with SIGINT/SIGTERM wired to
-/// request_shutdown(from_signal=true) — the daemon entry point both `cfpmd`
-/// and `cfpm serve` share. Previous handlers are restored on return. One
-/// server at a time, process-wide.
+/// request_shutdown(from_signal=true) — the daemon entry point of
+/// `cfpm serve`. Previous handlers are restored on return. One server at a
+/// time, process-wide.
 int run_with_signal_handling(Server& server);
 
 }  // namespace cfpm::serve

@@ -7,7 +7,7 @@
 // fuzzer sampled AddModelOptions directly. The service facade makes one
 // typed entry point out of that — versioned BuildRequest/EvalRequest
 // structs in, Reply structs or typed error payloads out — shared verbatim
-// by the one-shot CLI, the cfpmd daemon (src/serve/server), and the
+// by the one-shot CLI, the `cfpm serve` daemon (src/serve/server), and the
 // differential fuzzer. Sharing the entry point is what makes the daemon's
 // "bit-identical to the CLI" guarantee checkable rather than aspirational:
 // both sides execute literally the same code path behind the same structs.
@@ -133,10 +133,9 @@ struct ModelId {
 /// power::ModelOptions (a governor cannot cross a socket; deadlines travel
 /// as milliseconds and are armed server-side). Two requests with equal
 /// netlist content and equal *model-shaping* knobs (kind, max_nodes, order,
-/// reorder_passes, approximate_during_construction, serial-vs-parallel
-/// build, characterization workload) share a ModelId; resilience knobs
-/// (degrade, deadline_ms, build_retries) do not shape a clean model and are
-/// excluded from the id.
+/// reorder_passes, approximate_during_construction, characterization
+/// workload) share a ModelId; resilience knobs (degrade, deadline_ms) do not
+/// shape a clean model and are excluded from the id.
 struct BuildOptions {
   power::ModelKind kind = power::ModelKind::kAddAverage;
   std::size_t max_nodes = 1000;
@@ -144,8 +143,6 @@ struct BuildOptions {
   unsigned reorder_passes = 2;
   bool approximate_during_construction = true;
   bool degrade = true;
-  std::size_t build_threads = 1;
-  std::size_t build_retries = 2;
   std::optional<std::size_t> deadline_ms;
   /// Characterized baselines (Con/Lin) only.
   std::size_t characterization_vectors = 10000;
@@ -198,7 +195,6 @@ struct ChipRequest {
   std::string spec = "2x3x12";  ///< "CxBxM" chip topology
   std::size_t max_nodes = 4000;  ///< per-macro node budget (0 = exact)
   bool degrade = true;           ///< §9 ladder per macro
-  std::size_t build_threads = 1;
   std::optional<std::size_t> deadline_ms;  ///< per-macro build deadline
   stats::InputStatistics statistics{0.5, 0.5};
   std::size_t vectors = 10000;

@@ -232,8 +232,6 @@ std::string encode_build_request(const service::BuildRequest& req) {
      << "reorder-passes " << o.reorder_passes << "\n"
      << "approx " << (o.approximate_during_construction ? 1 : 0) << "\n"
      << "degrade " << (o.degrade ? 1 : 0) << "\n"
-     << "build-threads " << o.build_threads << "\n"
-     << "build-retries " << o.build_retries << "\n"
      << "deadline-ms " << (o.deadline_ms ? std::to_string(*o.deadline_ms)
                                          : std::string("none"))
      << "\n"
@@ -264,8 +262,6 @@ service::BuildRequest decode_build_request(std::string_view payload) {
   o.reorder_passes = r.number<unsigned>("reorder-passes");
   o.approximate_during_construction = parse_flag(r.field("approx"), "approx");
   o.degrade = parse_flag(r.field("degrade"), "degrade");
-  o.build_threads = r.number<std::size_t>("build-threads");
-  o.build_retries = r.number<std::size_t>("build-retries");
   const std::string_view deadline = r.field("deadline-ms");
   if (deadline != "none") {
     const auto ms = parse_number<std::size_t>(deadline);
@@ -540,7 +536,6 @@ std::string encode_chip_request(const service::ChipRequest& req) {
      << "spec " << req.spec << "\n"
      << "max-nodes " << req.max_nodes << "\n"
      << "degrade " << (req.degrade ? 1 : 0) << "\n"
-     << "build-threads " << req.build_threads << "\n"
      << "deadline-ms " << (req.deadline_ms ? std::to_string(*req.deadline_ms)
                                            : std::string("none"))
      << "\n"
@@ -558,7 +553,6 @@ service::ChipRequest decode_chip_request(std::string_view payload) {
   req.spec = std::string(r.field("spec"));
   req.max_nodes = r.number<std::size_t>("max-nodes");
   req.degrade = parse_flag(r.field("degrade"), "degrade");
-  req.build_threads = r.number<std::size_t>("build-threads");
   const std::string_view deadline = r.field("deadline-ms");
   if (deadline != "none") {
     const auto ms = parse_number<std::size_t>(deadline);

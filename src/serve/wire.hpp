@@ -1,4 +1,4 @@
-// cfpmd wire protocol: length-prefixed, versioned, CRC-checked frames.
+// Model-server wire protocol: length-prefixed, versioned, CRC-checked frames.
 //
 // A frame is a fixed 16-byte binary header followed by a text payload:
 //
@@ -31,7 +31,9 @@
 
 namespace cfpm::serve::wire {
 
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// Bumped whenever a payload's field sequence changes: the payload reader is
+/// strictly sequential, so a mismatched peer must fail the header check.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr char kMagic[4] = {'C', 'F', 'P', 'M'};
 /// Upper bound on a payload a peer may declare (64 MiB): a corrupt length

@@ -2,16 +2,17 @@
 //
 // A failpoint is a named hook compiled into a failure-prone code path:
 //
-//   CFPM_FAILPOINT("power.cone.build");
+//   CFPM_FAILPOINT("dd.serialize.write");
 //
 // In production the hook is a single relaxed atomic load (nothing armed) or,
 // with -DCFPM_NO_FAILPOINTS, nothing at all. Tests, the fuzz campaign
 // (`cfpm fuzz --faults`) and operators arm failpoints by name with an action
 // and a fire budget; the next `count` executions of the hook then perform the
 // action (throw a typed exception, sleep, fail I/O). This is how the
-// recovery machinery — cone retry/fallback (power/add_model), the thread-pool
-// spawn degradation, crash-safe writes (support/io) — is exercised
-// deterministically instead of waiting for a full disk or OOM in the wild.
+// recovery machinery — the degradation ladder (power/add_model), the
+// thread-pool spawn degradation, crash-safe writes (support/io) — is
+// exercised deterministically instead of waiting for a full disk or OOM in
+// the wild.
 //
 // Activation surfaces:
 //  * env:  CFPM_FAILPOINTS="name=action[:count],name2=action2" — parsed once
@@ -128,5 +129,5 @@ inline void hit(std::string_view name) {
 }  // namespace cfpm::failpoint
 
 /// Marks a failure-prone site. `name` must be a string literal following
-/// `subsystem.noun[.verb]` (e.g. "dd.allocate_node", "power.cone.build").
+/// `subsystem.noun[.verb]` (e.g. "dd.allocate_node", "dd.serialize.write").
 #define CFPM_FAILPOINT(name) ::cfpm::failpoint::hit(name)

@@ -81,7 +81,7 @@ int usage() {
       "usage:\n"
       "  cfpm info <circuit>\n"
       "  cfpm build <circuit> [-m MAX] [--bound] [-o model.cfpm]\n"
-      "             [--deadline-ms N] [--no-degrade] [--build-threads N]\n"
+      "             [--deadline-ms N] [--no-degrade]\n"
       "  cfpm estimate <model.cfpm> [--sp P] [--st P] [--vectors N] [--vdd V]\n"
       "                [--threads N] [--compiled] [--simd T]\n"
       "  cfpm worst <model.cfpm>\n"
@@ -90,7 +90,7 @@ int usage() {
       "  cfpm rtl <design.rtl> [--sp P] [--st P] [--vectors N] [--vdd V]\n"
       "  cfpm chip --spec CxBxM [--trace FILE] [--shards N] [--sp P] [--st P]\n"
       "            [--vectors N] [-m MAX] [--deadline-ms N] [--no-degrade]\n"
-      "            [--build-threads N] [--vdd V]\n"
+      "            [--vdd V]\n"
       "  cfpm sensitivity <model.cfpm>\n"
       "  cfpm equiv <golden> <candidate>\n"
       "  cfpm fuzz [--runs N] [--seed S] [--max-gates N] [--patterns N]\n"
@@ -117,9 +117,6 @@ int usage() {
       "macros share bus bits. --shards N shards the streaming evaluator\n"
       "(0 = all hardware threads; bit-identical for any N); --trace FILE\n"
       "evaluates a text bit-matrix trace instead of the seeded workload.\n"
-      "--build-threads N builds per-output fanin cones on N worker threads\n"
-      "and merges them deterministically (0 = all hardware threads); the\n"
-      "model is bit-identical for any N >= 2, 1 = the serial Fig. 6 loop.\n"
       "--simd auto|scalar|avx2|avx512 caps the evaluation kernel tier\n"
       "(default auto = best the CPU supports; the CFPM_SIMD environment\n"
       "variable sets the same cap). All tiers are bit-identical.\n"
@@ -127,9 +124,6 @@ int usage() {
       "--deadline-ms N bounds model construction by wall clock; on expiry\n"
       "the build degrades (harder approximation, then a constant bound)\n"
       "instead of running unbounded. --no-degrade fails fast instead.\n"
-      "--build-retries N retries a failed parallel cone build up to N times\n"
-      "with exponential backoff before the coordinator rebuilds it serially\n"
-      "(default 2; 0 disables retries). Deadline expiry is never retried.\n"
       "--failpoints SPEC arms fault-injection points for this run, same\n"
       "grammar as the CFPM_FAILPOINTS environment variable:\n"
       "  name=action[:count][,name=action[:count]...]\n"
@@ -145,11 +139,13 @@ int usage() {
       "fuzz --faults additionally arms a seed-derived failpoint spec per\n"
       "check and asserts deterministic recovery: injected faults may fail\n"
       "typed, but a clean rerun must pass and values must never corrupt.\n"
-      "serve runs the long-lived model server (same daemon as the cfpmd\n"
-      "binary): cached build replies perform zero construction work and\n"
-      "eval replies are bit-identical to the one-shot CLI. query talks to\n"
-      "a running daemon; eval/trace accept the circuit spec (the content\n"
-      "id is computed locally) or the 32-hex model id a build printed.\n"
+      "serve runs the long-lived model server: --threads N sets the eval\n"
+      "pool lanes and --build-threads N the build-pool lanes (0 = all\n"
+      "hardware threads). Cached build replies perform zero construction\n"
+      "work and eval replies are bit-identical to the one-shot CLI. query\n"
+      "talks to a running daemon; eval/trace accept the circuit spec (the\n"
+      "content id is computed locally) or the 32-hex model id a build\n"
+      "printed.\n"
       "exit codes: 0 ok, 1 error, 2 usage, 3 degraded result, 4 out of\n"
       "memory, 5 internal error, 6 daemon stopped by SIGINT/SIGTERM after\n"
       "a clean drain.\n";
@@ -182,7 +178,7 @@ struct Args {
   std::size_t vectors = 10000;
   double vdd = 3.3;
   std::size_t threads = 1;        // 0 = hardware concurrency
-  std::size_t build_threads = 1;  // 0 = hardware concurrency
+  std::size_t build_pool_threads = 1;  // serve build-pool lanes; 0 = hardware
   bool compiled = false;
   bool max_nodes_explicit = false;  // -m was given (chip defaults differ)
 
@@ -192,7 +188,6 @@ struct Args {
   std::string chip_trace;            // explicit trace file (text bit matrix)
   std::optional<std::size_t> deadline_ms;  // wall-clock build budget
   bool degrade = true;
-  std::size_t build_retries = 2;  // per-cone retries before serial rebuild
   std::string metrics_json;  // write metrics snapshot here on exit
   std::string trace_json;    // record spans; write Chrome trace here on exit
 
@@ -219,10 +214,6 @@ struct Args {
     opt.max_nodes = max_nodes;
     opt.mode = bound ? dd::ApproxMode::kUpperBound : dd::ApproxMode::kAverage;
     opt.degrade = degrade;
-    opt.build_threads = build_threads;
-    // --build-retries N is "N retries after the first try"; RetryPolicy
-    // counts total attempts.
-    opt.cone_retry.max_attempts = build_retries + 1;
     auto governor = std::make_shared<Governor>();
     if (deadline_ms) {
       governor->set_deadline(std::chrono::milliseconds(*deadline_ms));
@@ -240,8 +231,6 @@ struct Args {
                    : power::ModelKind::kAddAverage;
     o.max_nodes = max_nodes;
     o.degrade = degrade;
-    o.build_threads = build_threads;
-    o.build_retries = build_retries;
     o.deadline_ms = deadline_ms;
     return o;
   }
@@ -255,7 +244,6 @@ struct Args {
     r.spec = chip_spec;
     if (max_nodes_explicit) r.max_nodes = max_nodes;
     r.degrade = degrade;
-    r.build_threads = build_threads;
     r.deadline_ms = deadline_ms;
     r.statistics = {sp, st};
     r.vectors = vectors;
@@ -359,7 +347,7 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--threads") {
       ok = number(a.threads);
     } else if (flag == "--build-threads") {
-      ok = number(a.build_threads);
+      ok = number(a.build_pool_threads);
     } else if (flag == "--simd") {
       // Applied immediately: the tier cap is process-global state, and
       // request_simd_tier doubles as the validator.
@@ -380,8 +368,6 @@ std::optional<Args> parse(int argc, char** argv) {
       ok = boolean(a.degrade, true);
     } else if (flag == "--no-degrade") {
       ok = boolean(a.degrade, false);
-    } else if (flag == "--build-retries") {
-      ok = number(a.build_retries);
     } else if (flag == "--failpoints") {
       // Applied immediately: the registry is process-global state, and
       // arm_from_spec doubles as the validator (same grammar as the
@@ -492,7 +478,7 @@ int cmd_build(const Args& a) {
   const netlist::Netlist n = load_circuit(a.positional[0]);
   // Through the service facade: the same BuildRequest path the daemon
   // executes, so the printed content id addresses the identical model in a
-  // cfpmd registry.
+  // `cfpm serve` registry.
   const service::BuildReply reply =
       service::build({service::kApiVersion, n, a.service_options()});
   std::cout << "model   : " << reply.model_nodes << " nodes ("
@@ -528,7 +514,7 @@ int cmd_estimate(const Args& a) {
 
   // Through the service facade: one seeded Markov workload + one batched
   // estimate_trace pass, sharded over a pool when --threads asks for one.
-  // Results are bit-identical for every thread count — and to a cfpmd
+  // Results are bit-identical for every thread count — and to a daemon
   // eval query with the same parameters, since the daemon runs this exact
   // entry point.
   service::EvalRequest request;
@@ -902,7 +888,7 @@ int cmd_serve(const Args& a) {
   options.socket_path = a.socket;
   options.persist_dir = a.persist_dir;
   options.eval_threads = a.threads;
-  options.build_pool_threads = a.build_threads;
+  options.build_pool_threads = a.build_pool_threads;
   options.default_deadline_ms = a.deadline_ms.value_or(0);
   options.log = &std::cerr;
   serve::Server server(std::move(options));

@@ -34,13 +34,13 @@ std::string hex_seed(std::uint64_t seed) {
 
 /// Failure surfaces the fault campaign arms. Some fire in every scenario
 /// (dd.allocate_node is on the path of every symbolic build); others only
-/// when the sampled scenario takes that path (power.cone.* need a parallel
-/// build). Both are useful — a spec that never fires is a free control run.
+/// when the sampled scenario takes that path (serve.* need the daemon
+/// round-trip check). Both are useful — a spec that never fires is a free
+/// control run.
 constexpr const char* kFaultSites[] = {
-    "dd.allocate_node", "threadpool.task",    "threadpool.spawn",
-    "power.cone.build", "power.cone.merge",   "dd.serialize.write",
-    "dd.serialize.read", "serve.accept",      "serve.build",
-    "serve.persist",
+    "dd.allocate_node",  "threadpool.task", "threadpool.spawn",
+    "dd.serialize.write", "dd.serialize.read", "serve.accept",
+    "serve.build",        "serve.persist",
 };
 
 /// Deterministic per-iteration fault plan: 1-2 sites, a random action, a

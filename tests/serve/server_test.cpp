@@ -81,7 +81,6 @@ service::BuildRequest c17_request() {
   request.netlist = netlist::gen::c17();
   request.options.max_nodes = 0;
   request.options.degrade = false;
-  request.options.build_threads = 1;
   return request;
 }
 

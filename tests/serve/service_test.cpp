@@ -109,9 +109,15 @@ TEST(ServiceModelId, ContentAddressingSeparatesShapingKnobs) {
   // ...resilience knobs do not (same clean model either way).
   BuildOptions resilience = base;
   resilience.degrade = !base.degrade;
-  resilience.build_retries = base.build_retries + 3;
   resilience.deadline_ms = 12345;
   EXPECT_EQ(id, model_id(c17, resilience));
+}
+
+TEST(ServiceModelId, SerialIdIsStableAcrossReleases) {
+  // Registry keys and --persist directories outlive a release: a serial
+  // build's content address must never drift.
+  EXPECT_EQ(model_id(netlist::gen::c17(), BuildOptions{}).to_hex(),
+            "e44ced9280f1ea8eba9ef07eb4d26367");
 }
 
 TEST(ServiceBuild, RejectsWrongApiVersion) {
