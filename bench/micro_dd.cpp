@@ -116,42 +116,27 @@ void BM_AddEval(benchmark::State& state) {
 }
 BENCHMARK(BM_AddEval);
 
-void BM_CompiledAddEval(benchmark::State& state) {
-  // Same diagram as BM_AddEval, evaluated on the flat-array snapshot.
-  DdManager mgr(24);
-  const CompiledDd compiled = CompiledDd::compile(eval_workload(mgr));
-  std::vector<std::uint8_t> assignment(24);
-  std::uint64_t counter = 0;
-  for (auto _ : state) {
-    for (std::size_t v = 0; v < 24; ++v) {
-      assignment[v] = static_cast<std::uint8_t>((counter >> v) & 1u);
-    }
-    ++counter;
-    benchmark::DoNotOptimize(compiled.eval(assignment));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["nodes"] = static_cast<double>(compiled.num_nodes());
-}
-BENCHMARK(BM_CompiledAddEval);
-
 void BM_CompiledPackedEval(benchmark::State& state) {
-  // Same diagram again, 64 assignments per bit-parallel sweep.
+  // Same diagram as BM_AddEval on the flat-array snapshot, 64 *
+  // kPackedGroups assignments per eval_packed_wide call.
+  constexpr std::size_t kGroups = CompiledDd::kPackedGroups;
   DdManager mgr(24);
   const CompiledDd compiled = CompiledDd::compile(eval_workload(mgr));
-  std::vector<std::uint64_t> bits(24);
+  std::vector<std::uint64_t> bits(kGroups * 24);
   std::vector<std::uint64_t> scratch;
-  double out[64];
+  std::vector<double> out(64 * kGroups);
   std::uint64_t counter = 0x9e3779b97f4a7c15ull;
   for (auto _ : state) {
-    for (std::size_t v = 0; v < 24; ++v) {
+    for (std::uint64_t& word : bits) {
       counter ^= counter << 13;
       counter ^= counter >> 7;
-      bits[v] = counter;
+      word = counter;
     }
-    compiled.eval_packed(bits.data(), 64, out, scratch);
+    compiled.eval_packed_wide(bits.data(), out.size(), out.data(), scratch);
     benchmark::DoNotOptimize(out[0]);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    out.size()));
   state.counters["nodes"] = static_cast<double>(compiled.num_nodes());
 }
 BENCHMARK(BM_CompiledPackedEval);

@@ -171,7 +171,9 @@ Chip build_chip(const ChipSpec& spec, const ModelSource& source) {
       std::max<std::size_t>(1, M / spec.macros_per_block);
   for (std::size_t b = 0; b < spec.blocks; ++b) {
     const std::size_t block_index = result.nodes_.size();
-    result.nodes_.push_back(Chip::Node{"b" + std::to_string(b), 0, {},
+    std::string block_name = "b";
+    block_name += std::to_string(b);
+    result.nodes_.push_back(Chip::Node{std::move(block_name), 0, {},
                                        b * spec.macros_per_block, 0, 0});
     result.nodes_[0].children.push_back(block_index);
     for (std::size_t j = 0; j < spec.macros_per_block; ++j) {

@@ -1,12 +1,15 @@
 // Compiled (flattened) decision diagrams for high-throughput evaluation.
 //
-// A CompiledDd is an immutable snapshot of a frozen Add/Bdd: every node
+// A CompiledDd is an immutable snapshot of a frozen Add: every node
 // reachable from the root is copied into one contiguous array of POD
 // records with 32-bit child indices, sorted by manager level so a
-// root-to-terminal walk moves strictly forward through the array. Terminal
-// values live in a separate table; terminals are materialized as
-// self-looping "sink" records so the batch evaluator's inner loop is
-// completely branch-free (every lane takes exactly depth() steps).
+// root-to-terminal path moves strictly forward through the array. Terminal
+// values live in a separate table; each terminal also gets a placeholder
+// record after the internal nodes, only so that it owns a reach row in the
+// packed sweep (its fields are never read).
+//
+// eval_packed_wide is the one evaluator; Add::eval on the source diagram
+// is the reference it is held bit-identical to.
 //
 // The snapshot shares nothing with the originating DdManager: manager
 // garbage collection, reordering, or destruction cannot invalidate it, and
@@ -18,21 +21,20 @@
 #include <vector>
 
 #include "dd/manager.hpp"
-#include "support/assert.hpp"
 
 namespace cfpm::dd {
 
 class CompiledDd {
  public:
   /// One flattened node: 12 bytes, no pointers. `hi`/`lo` index back into
-  /// the same array (indices >= num_internal_nodes() are terminal sinks).
+  /// the same array (indices >= num_internal_nodes() are terminals).
   /// Bit 31 of `hi`/`lo` (kFirstEdge) marks the child's first incoming
-  /// edge in sweep order; the packed evaluators overwrite the child's
-  /// reach mask there instead of OR-merging, which removes the need to
-  /// zero the mask array between batches. Walkers mask it off with
-  /// kIndexMask before using a successor as an index.
+  /// edge in sweep order; the sweep overwrites the child's reach mask
+  /// there instead of OR-merging, which removes the need to zero the mask
+  /// array between batches. Mask it off with kIndexMask before using a
+  /// successor as an index.
   struct Node {
-    std::uint32_t var;  ///< variable tested (sinks repeat a valid index)
+    std::uint32_t var;  ///< variable tested (0 in terminal placeholders)
     std::uint32_t hi;   ///< successor when assignment[var] != 0
     std::uint32_t lo;   ///< successor when assignment[var] == 0
   };
@@ -44,41 +46,6 @@ class CompiledDd {
   /// Flattens the DAG rooted at `f`. The result is deterministic: nodes are
   /// ordered by (level, creation id) and terminal values ascending.
   static CompiledDd compile(const Add& f);
-  /// A BDD compiles to a 0.0/1.0-valued evaluator.
-  static CompiledDd compile(const Bdd& f);
-
-  /// Evaluates one assignment (indexed by manager variable). Bit-identical
-  /// to Add::eval on the source diagram. `assignment` must cover
-  /// [0, min_assignment_size()).
-  double eval(std::span<const std::uint8_t> assignment) const {
-    CFPM_REQUIRE(assignment.size() >= min_assignment_size());
-    std::uint32_t idx = root_;
-    while (idx < first_terminal_) {
-      const Node& n = nodes_[idx];
-      idx = (assignment[n.var] ? n.hi : n.lo) & kIndexMask;
-    }
-    return values_[idx - first_terminal_];
-  }
-
-  /// Batch evaluation: pattern p's assignment is the `min_assignment_size()`
-  /// bytes at `assignments + p * stride`; out[p] receives its value. The
-  /// inner loop is lane-blocked — a small block of patterns advances one
-  /// level per step, so the serial dependency of one pointer walk is hidden
-  /// behind the independent walks of the other lanes.
-  void eval_block(const std::uint8_t* assignments, std::size_t stride,
-                  std::size_t count, double* out) const;
-
-  /// Bit-parallel batch evaluation: up to 64 assignments in ONE sweep over
-  /// the node array. `bits[v]` packs the 64 assignments' values of variable
-  /// `v` (bit k = assignment k); `out[k]` receives assignment k's value,
-  /// bit-identical to eval(). Because the array is topologically sorted, a
-  /// single forward pass can propagate a reach mask (which assignments'
-  /// paths visit each node) from the root to the sinks, so the cost scales
-  /// with num_nodes() per 64 assignments instead of depth() per assignment.
-  /// `scratch` is caller-owned mask storage, reused across calls so hot
-  /// loops stay allocation-free.
-  void eval_packed(const std::uint64_t* bits, std::size_t count, double* out,
-                   std::vector<std::uint64_t>& scratch) const;
 
   /// Number of 64-assignment groups eval_packed_wide accepts per call (the
   /// fixed stride of the caller's `bits` layout). 8 matches one AVX-512
@@ -97,13 +64,19 @@ class CompiledDd {
   /// large diagrams.
   std::size_t sweep_groups() const noexcept { return sweep_groups_; }
 
-  /// As eval_packed, but up to kPackedGroups groups of 64 assignments per
-  /// call: `bits[kPackedGroups * v + w]` packs group w's values of variable
-  /// v (the stride is kPackedGroups regardless of count), and assignment
-  /// 64*w + k's value lands in out[64*w + k]. Internally the groups are
-  /// processed sweep_groups() at a time through the widest SIMD kernel the
-  /// active dispatch tier supports (dd/simd.hpp); every tier is
-  /// bit-identical to eval().
+  /// Bit-parallel batch evaluation of up to 64 * kPackedGroups assignments
+  /// (indexed by manager variable). `bits[kPackedGroups * v + w]` packs
+  /// group w's values of variable v, bit k = assignment 64*w + k (the stride
+  /// is kPackedGroups regardless of count), and that assignment's value
+  /// lands in out[64*w + k], bit-identical to Add::eval on the source.
+  /// Because the array is topologically sorted, one forward pass
+  /// propagates a reach mask (which assignments' paths visit each node)
+  /// from the root to the terminals, so the cost scales with num_nodes()
+  /// per sweep instead of depth() per assignment. The groups are processed
+  /// sweep_groups() at a time through the widest SIMD kernel the active
+  /// dispatch tier supports (dd/simd.hpp); every tier is bit-identical.
+  /// `scratch` is caller-owned mask storage, reused across calls so hot
+  /// loops stay allocation-free.
   void eval_packed_wide(const std::uint64_t* bits, std::size_t count,
                         double* out, std::vector<std::uint64_t>& scratch) const;
 
@@ -112,8 +85,6 @@ class CompiledDd {
   std::size_t num_nodes() const noexcept { return nodes_.size(); }
   /// Worst-case walk length (number of distinct levels in the diagram).
   std::uint32_t depth() const noexcept { return depth_; }
-  /// 1 + largest variable index tested anywhere in the diagram.
-  std::uint32_t min_assignment_size() const noexcept { return num_vars_needed_; }
   std::span<const double> values() const noexcept { return values_; }
 
   /// Read-only view of the flattened records (layout tests, kernels).
@@ -130,13 +101,12 @@ class CompiledDd {
   }
 
  private:
-  std::vector<Node> nodes_;    // internal nodes (level-sorted), then sinks
-  std::vector<double> values_; // value of sink node first_terminal_ + i
+  std::vector<Node> nodes_;    // internal nodes (level-sorted), then terminals
+  std::vector<double> values_; // value of terminal record first_terminal_ + i
   std::vector<std::uint32_t> level_offsets_;  // depth_ + 1 entries
   std::uint32_t root_ = 0;
   std::uint32_t first_terminal_ = 0;
   std::uint32_t depth_ = 0;
-  std::uint32_t num_vars_needed_ = 0;
   std::uint32_t sweep_groups_ = kPackedGroups;
 };
 

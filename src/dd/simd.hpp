@@ -9,7 +9,7 @@
 //  * detect_simd_tier()  — what the CPU can do (cpuid, cached).
 //  * requested tier      — what the caller asked for: kAuto by default,
 //    overridden by the CFPM_SIMD environment variable (auto|scalar|avx2|
-//    avx512) or programmatically (CLI --simd).
+//    avx512) or programmatically (oracles, benches).
 //  * active_simd_tier()  — min(requested, detected): asking for a tier the
 //    CPU lacks silently degrades to the best supported one, so a pinned
 //    "avx512" config stays runnable on an AVX2 host.
@@ -37,20 +37,16 @@ Tier detect_simd_tier() noexcept;
 /// Tier evaluation kernels actually run: min(requested, detected).
 Tier active_simd_tier() noexcept;
 
-/// Programmatic override (CLI --simd). kAuto semantics: pass
-/// `request_simd_auto()`; anything above the detected tier is clamped by
-/// active_simd_tier(), not here, so the request survives verbatim for
-/// diagnostics.
+/// Programmatic override. kAuto semantics: pass `request_simd_auto()`;
+/// anything above the detected tier is clamped by active_simd_tier(), not
+/// here, so the request survives verbatim for diagnostics.
 void request_simd_tier(Tier tier) noexcept;
 void request_simd_auto() noexcept;
 
-/// Parses "auto", "scalar", "avx2" or "avx512" and applies it as the
-/// requested tier; false (state unchanged) on anything else.
-bool request_simd_tier(std::string_view name) noexcept;
-
-/// Re-reads the CFPM_SIMD environment variable (valid values as above;
-/// unset or invalid resets to auto). Called once at static init; exposed so
-/// tests can flip the override without a subprocess.
+/// Re-reads the CFPM_SIMD environment variable ("auto", "scalar", "avx2"
+/// or "avx512"; unset or anything else resets to auto). Called once at
+/// static init; exposed so tests can flip the override without a
+/// subprocess.
 void refresh_simd_tier_from_env() noexcept;
 
 /// "scalar", "avx2", "avx512" (never "auto": the active tier is resolved).

@@ -31,15 +31,16 @@ __attribute__((target("avx512f"))) void sweep_avx512(
       const __m512i bw = _mm512_loadu_si512(bv + w);
       const __m512i h = _mm512_loadu_si512(hi + w);
       const __m512i l = _mm512_loadu_si512(lo + w);
-      // Spelled as and/or rather than an explicit vpternlogq immediate:
-      // the compiler fuses these into ternlog on its own and the
-      // expression stays readable.
+      // The hi store is spelled as and/or (the compiler fuses it into
+      // vpternlogq on its own). The lo store names its ternlog directly,
+      // 0xF4 = a | (b & ~c): GCC 12 misreports _mm512_andnot_si512 as
+      // maybe-uninitialized, which a -Werror build cannot take.
       _mm512_storeu_si512(hi + w,
                           _mm512_or_si512(_mm512_and_si512(h, keep_hi),
                                           _mm512_and_si512(mw, bw)));
-      _mm512_storeu_si512(lo + w,
-                          _mm512_or_si512(_mm512_and_si512(l, keep_lo),
-                                          _mm512_andnot_si512(bw, mw)));
+      _mm512_storeu_si512(
+          lo + w, _mm512_ternarylogic_epi64(_mm512_and_si512(l, keep_lo), mw,
+                                            bw, 0xF4));
     }
   }
   gather_terminals(ctx, reach, out, W);

@@ -41,7 +41,7 @@ int request_from_env() noexcept {
 
 /// Requested tier as an int (kAuto or a Tier value), seeded from CFPM_SIMD
 /// at first use so plain library users honor the env var with no init call.
-/// Atomic so the CLI, a test, and concurrently evaluating pool workers
+/// Atomic so an oracle, a bench, and concurrently evaluating pool workers
 /// never race; relaxed is enough — the tier is a performance knob, every
 /// kernel is bit-identical.
 std::atomic<int>& requested() noexcept {
@@ -69,13 +69,6 @@ void request_simd_tier(Tier tier) noexcept {
 
 void request_simd_auto() noexcept {
   requested().store(kAuto, std::memory_order_relaxed);
-}
-
-bool request_simd_tier(std::string_view name) noexcept {
-  const std::optional<int> parsed = parse_tier(name);
-  if (!parsed) return false;
-  requested().store(*parsed, std::memory_order_relaxed);
-  return true;
 }
 
 void refresh_simd_tier_from_env() noexcept {

@@ -59,7 +59,7 @@ void sweep_avx512(const SweepCtx& ctx, const std::uint64_t* bits,
 /// Widest kernel the active tier supports whose width constraint divides W.
 SweepFn select_sweep(std::size_t W) noexcept;
 
-/// Shared terminal gather: scatters reach rows of the sink records into
+/// Shared terminal gather: scatters the terminals' reach rows into
 /// out[64 * w + k]. Scalar on purpose — terminals are few and the cost is
 /// dominated by the sweep.
 inline void gather_terminals(const SweepCtx& ctx, const std::uint64_t* reach,

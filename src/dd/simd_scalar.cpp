@@ -2,16 +2,15 @@
 
 namespace cfpm::dd::simd {
 
-// Reference sweep: one uint64 per step. Also the correctness baseline the
-// simd-dispatch oracle compares the wide kernels against, so keep it a
-// line-for-line transcription of CompiledDd::eval_packed generalized to W
-// mask words per node.
+// Reference sweep: one uint64 per step. It is what CFPM_SIMD=scalar (or a
+// CPU without AVX2) selects, and the baseline the simd-dispatch oracle
+// holds the wide kernels to, so keep it the plainest statement of the
+// sweep contract in simd_kernels.hpp: W mask words per node, one at a time.
 //
-// No local mask copy is needed (unlike eval_packed_wide's fixed-W loop):
-// the node array is level-sorted, so a node's children sit at strictly
-// higher indices and the hi/lo stores can never touch row i, and canonical
-// make_node guarantees hi != lo for internal nodes, so the two child rows
-// are distinct as well.
+// No local mask copy is needed: the node array is level-sorted, so a
+// node's children sit at strictly higher indices and the hi/lo stores can
+// never touch row i, and canonical make_node guarantees hi != lo for
+// internal nodes, so the two child rows are distinct as well.
 void sweep_scalar(const SweepCtx& ctx, const std::uint64_t* bits,
                   std::size_t bits_stride, const std::uint64_t* all,
                   double* out, std::uint64_t* reach, std::size_t W) {

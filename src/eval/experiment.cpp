@@ -115,22 +115,12 @@ std::vector<AccuracyReport> evaluate(
       grid.size() > 1) {
     options.pool->run_indexed(grid.size(), evaluate_point);
   } else {
-    const std::size_t workers = std::min<std::size_t>(
-        grid.size(), std::max(1u, std::thread::hardware_concurrency()));
-    if (workers <= 1) {
-      for (std::size_t gi = 0; gi < grid.size(); ++gi) evaluate_point(gi);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          for (std::size_t gi = w; gi < grid.size(); gi += workers) {
-            evaluate_point(gi);
-          }
-        });
-      }
-      for (std::thread& t : pool) t.join();
-    }
+    // One lane per grid point, up to the core count; a single lane runs
+    // inline. Results are slotted by index, so the split never shows.
+    ThreadPool local(std::max<std::size_t>(
+        1, std::min<std::size_t>(grid.size(),
+                                 std::thread::hardware_concurrency())));
+    local.run_indexed(grid.size(), evaluate_point);
   }
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
     for (std::size_t m = 0; m < models.size(); ++m) {

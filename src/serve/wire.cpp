@@ -4,8 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <algorithm>
 #include <cstring>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "netlist/bench_io.hpp"
 #include "support/crc32.hpp"
@@ -39,68 +42,6 @@ std::uint32_t get_u32(std::string_view in, std::size_t at) {
     v = (v << 8) | static_cast<unsigned char>(in[at + i]);
   }
   return v;
-}
-
-/// Sequential reader over a line-oriented payload with counted byte blocks.
-class Reader {
- public:
-  explicit Reader(std::string_view text) : text_(text) {}
-
-  std::string_view line() {
-    if (pos_ >= text_.size()) {
-      throw ParseError("wire: truncated payload (expected another line)");
-    }
-    const auto nl = text_.find('\n', pos_);
-    if (nl == std::string_view::npos) {
-      throw ParseError("wire: unterminated line in payload");
-    }
-    const std::string_view out = text_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return out;
-  }
-
-  /// Next line must be `key value`; returns `value` (may contain spaces).
-  std::string_view field(std::string_view key) {
-    const std::string_view l = line();
-    if (l.size() <= key.size() || l.substr(0, key.size()) != key ||
-        l[key.size()] != ' ') {
-      throw ParseError("wire: expected field '" + std::string(key) +
-                       "', got '" + std::string(l) + "'");
-    }
-    return l.substr(key.size() + 1);
-  }
-
-  template <typename T>
-  T number(std::string_view key) {
-    const std::string_view v = field(key);
-    const auto parsed = parse_number<T>(v);
-    if (!parsed) {
-      throw ParseError("wire: bad number for '" + std::string(key) + "': '" +
-                       std::string(v) + "'");
-    }
-    return *parsed;
-  }
-
-  /// Raw counted block (no trailing newline is consumed).
-  std::string_view bytes(std::size_t n) {
-    if (text_.size() - pos_ < n) {
-      throw ParseError("wire: truncated payload (counted block)");
-    }
-    const std::string_view out = text_.substr(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-bool parse_flag(std::string_view v, std::string_view key) {
-  if (v == "0") return false;
-  if (v == "1") return true;
-  throw ParseError("wire: bad flag for '" + std::string(key) + "': '" +
-                   std::string(v) + "'");
 }
 
 }  // namespace
@@ -215,441 +156,513 @@ bool read_frame(int fd, Frame& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Build messages
+// Message payloads
 // ---------------------------------------------------------------------------
+//
+// A payload is a sequence of `key value` lines; a field may be followed by
+// a counted byte block or by one line per element of a list. Each
+// message's sequence is written once, as a fields(io, msg) overload: Writer
+// walks it to encode and Reader walks it to decode, so field order, value
+// checks and row layouts cannot drift between the two directions.
 
-std::string encode_build_request(const service::BuildRequest& req) {
-  std::ostringstream netlist_text;
-  netlist::write_bench(netlist_text, req.netlist);
-  const std::string bench = netlist_text.str();
-  const service::BuildOptions& o = req.options;
-  std::ostringstream os;
-  os << "version " << req.api_version << "\n"
-     << "circuit " << req.netlist.name() << "\n"
-     << "kind " << static_cast<unsigned>(o.kind) << "\n"
-     << "max-nodes " << o.max_nodes << "\n"
-     << "order " << static_cast<unsigned>(o.order) << "\n"
-     << "reorder-passes " << o.reorder_passes << "\n"
-     << "approx " << (o.approximate_during_construction ? 1 : 0) << "\n"
-     << "degrade " << (o.degrade ? 1 : 0) << "\n"
-     << "deadline-ms " << (o.deadline_ms ? std::to_string(*o.deadline_ms)
-                                         : std::string("none"))
-     << "\n"
-     << "char-vectors " << o.characterization_vectors << "\n"
-     << "char-seed " << o.characterization_seed << "\n"
-     << "netlist " << bench.size() << "\n"
-     << bench;
-  return os.str();
+namespace {
+
+/// Largest valid value of an enum that crosses the wire, and the noun a
+/// decode error names it by.
+struct EnumRange {
+  unsigned max;
+  const char* noun;
+};
+constexpr EnumRange range_of(power::ModelKind) {
+  return {static_cast<unsigned>(power::ModelKind::kLinear), "model kind"};
+}
+constexpr EnumRange range_of(power::VariableOrder) {
+  return {static_cast<unsigned>(power::VariableOrder::kBlocked),
+          "variable order"};
+}
+constexpr EnumRange range_of(power::BuildOutcome) {
+  return {static_cast<unsigned>(power::BuildOutcome::kFallback), "outcome"};
+}
+constexpr EnumRange range_of(service::StatusCode) {
+  return {static_cast<unsigned>(service::StatusCode::kInternal), "status"};
+}
+constexpr EnumRange range_of(service::ErrorKind) {
+  return {static_cast<unsigned>(service::ErrorKind::kInternal), "error kind"};
 }
 
-service::BuildRequest decode_build_request(std::string_view payload) {
-  Reader r(payload);
-  service::BuildRequest req;
-  req.api_version = r.number<std::uint32_t>("version");
-  const std::string circuit(r.field("circuit"));
+// ----- value spellings: put() appends a value, get() parses one -----------
+
+void put(std::string& out, bool v) { out += v ? '1' : '0'; }
+void put(std::string& out, double v) { out += format_double(v); }
+/// Every integer and enum on the wire is unsigned.
+template <typename T>
+  requires std::is_integral_v<T> || std::is_enum_v<T>
+void put(std::string& out, T v) {
+  out += std::to_string(static_cast<std::uint64_t>(v));
+}
+void put(std::string& out, const std::string& v) { out += v; }
+/// Optionals (deadlines) spell their empty state "none".
+void put(std::string& out, const std::optional<std::size_t>& v) {
+  out += v ? std::to_string(*v) : std::string("none");
+}
+void put(std::string& out, const service::ModelId& v) { out += v.to_hex(); }
+
+[[noreturn]] void bad_value(std::string_view key, std::string_view v) {
+  throw ParseError("wire: bad value for '" + std::string(key) + "': '" +
+                   std::string(v) + "'");
+}
+
+void get(std::string_view v, std::string_view key, bool& out) {
+  if (v != "0" && v != "1") bad_value(key, v);
+  out = v == "1";
+}
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void get(std::string_view v, std::string_view key, T& out) {
+  const auto parsed = parse_number<T>(v);
+  if (!parsed) bad_value(key, v);
+  out = *parsed;
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void get(std::string_view v, std::string_view key, E& out) {
+  unsigned raw = 0;
+  get(v, key, raw);
+  const EnumRange range = range_of(E{});
+  if (raw > range.max) {
+    throw ParseError("wire: unknown " + std::string(range.noun) + " " +
+                     std::to_string(raw));
+  }
+  out = static_cast<E>(raw);
+}
+void get(std::string_view v, std::string_view, std::string& out) {
+  out = std::string(v);
+}
+void get(std::string_view v, std::string_view key,
+         std::optional<std::size_t>& out) {
+  out.reset();
+  if (v != "none") get(v, key, out.emplace());
+}
+void get(std::string_view v, std::string_view, service::ModelId& out) {
+  const auto id = service::ModelId::from_hex(v);
+  if (!id) throw ParseError("wire: bad model id: '" + std::string(v) + "'");
+  out = *id;
+}
+
+// ----- the two directions ---------------------------------------------------
+//
+// field() is one `key value` line. rows() writes one `key item item ...`
+// line per list element, whose items row_fields() names through item();
+// rest() is an item that runs to the end of the line, spaces included.
+
+class Writer {
+ public:
+  template <typename T>
+  void field(std::string_view key, const T& v) {
+    out_ += key;
+    item(v);
+    out_ += '\n';
+  }
+
+  template <typename T>
+  void item(const T& v) {
+    out_ += ' ';
+    put(out_, v);
+  }
+  void rest(const std::string& v) { item(v); }
+
+  template <typename T>
+  void rows(std::string_view key, std::vector<T>& items,
+            std::uint64_t /*count*/) {
+    for (T& element : items) {
+      out_ += key;
+      row_fields(*this, element);
+      out_ += '\n';
+    }
+  }
+
+  /// `key <size>`, then the bytes verbatim with no trailing newline.
+  void block(std::string_view key, const std::string& bytes) {
+    field(key, bytes.size());
+    out_ += bytes;
+  }
+
+  /// The netlist as a block of canonical .bench text.
+  void netlist(std::string_view key, const std::string& /*circuit*/,
+               const netlist::Netlist& n) {
+    std::ostringstream text;
+    netlist::write_bench(text, n);
+    block(key, text.str());
+  }
+
+  /// The trace as a block of inputs x length '0'/'1' bytes, step-major.
+  void bits(std::string_view key, std::size_t /*inputs*/,
+            std::size_t /*length*/, const sim::InputSequence& t) {
+    std::string bits;
+    bits.reserve(t.length() * t.num_inputs());
+    for (std::size_t step = 0; step < t.length(); ++step) {
+      for (std::size_t i = 0; i < t.num_inputs(); ++i) {
+        bits.push_back(t.bit(i, step) ? '1' : '0');
+      }
+    }
+    block(key, bits);
+  }
+
+  std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+/// Sequential reader over a payload; every shortfall is a ParseError.
+class Reader {
+ public:
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  template <typename T>
+  void field(std::string_view key, T& v) {
+    get(value(key), key, v);
+  }
+
+  /// Items are space-separated. Chip component names are generated
+  /// ("b2.m1.add5") and never contain spaces, so this is unambiguous.
+  template <typename T>
+  void item(T& v) {
+    if (row_pos_ > row_.size()) {
+      throw ParseError("wire: too few items in '" + std::string(row_key_) +
+                       "' line");
+    }
+    const std::size_t end = std::min(row_.find(' ', row_pos_), row_.size());
+    get(row_.substr(row_pos_, end - row_pos_), row_key_, v);
+    row_pos_ = end + 1;
+  }
+  void rest(std::string& v) {
+    v = std::string(row_.substr(row_pos_));
+    row_pos_ = row_.size() + 1;
+  }
+
+  /// Exactly `count` rows, appended one line at a time so that a huge
+  /// declared count runs out of payload, not memory.
+  template <typename T>
+  void rows(std::string_view key, std::vector<T>& items, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      row_ = value(key);
+      row_key_ = key;
+      row_pos_ = 0;
+      T element;
+      row_fields(*this, element);
+      if (row_pos_ <= row_.size()) {
+        throw ParseError("wire: too many items in '" + std::string(key) +
+                         "' line");
+      }
+      items.push_back(std::move(element));
+    }
+  }
+
+  void block(std::string_view key, std::string& bytes) {
+    std::size_t n = 0;
+    field(key, n);
+    bytes = std::string(take(n));
+  }
+
+  void netlist(std::string_view key, const std::string& circuit,
+               netlist::Netlist& n) {
+    std::string bench;
+    block(key, bench);
+    std::istringstream text(std::move(bench));
+    n = netlist::read_bench(text, circuit);
+  }
+
+  void bits(std::string_view key, std::size_t inputs, std::size_t length,
+            sim::InputSequence& t) {
+    if (inputs == 0) throw ParseError("wire: trace with zero inputs");
+    std::size_t declared = 0;
+    field(key, declared);
+    // Bounded by the bytes left before multiplying, so the product can
+    // neither wrap nor size an allocation the payload cannot fill.
+    if (length > (text_.size() - pos_) / inputs) {
+      throw ParseError("wire: trace larger than its payload");
+    }
+    if (declared != inputs * length) {
+      throw ParseError("wire: trace bit count mismatch");
+    }
+    const std::string_view bits = take(declared);
+    t = sim::InputSequence(inputs, length);
+    for (std::size_t step = 0; step < length; ++step) {
+      for (std::size_t i = 0; i < inputs; ++i) {
+        const char c = bits[step * inputs + i];
+        if (c != '0' && c != '1') {
+          throw ParseError("wire: trace bit is not 0/1");
+        }
+        t.set_bit(i, step, c == '1');
+      }
+    }
+  }
+
+ private:
+  /// Next line must be `key value`; returns `value` (may contain spaces).
+  std::string_view value(std::string_view key) {
+    if (pos_ >= text_.size()) {
+      throw ParseError("wire: truncated payload (expected another line)");
+    }
+    const auto nl = text_.find('\n', pos_);
+    if (nl == std::string_view::npos) {
+      throw ParseError("wire: unterminated line in payload");
+    }
+    const std::string_view l = text_.substr(pos_, nl - pos_);
+    pos_ = nl + 1;
+    if (l.size() <= key.size() || l.substr(0, key.size()) != key ||
+        l[key.size()] != ' ') {
+      throw ParseError("wire: expected field '" + std::string(key) +
+                       "', got '" + std::string(l) + "'");
+    }
+    return l.substr(key.size() + 1);
+  }
+
+  /// Raw counted block (no trailing newline is consumed).
+  std::string_view take(std::size_t n) {
+    if (text_.size() - pos_ < n) {
+      throw ParseError("wire: truncated payload (counted block)");
+    }
+    const std::string_view out = text_.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string_view row_;  // the value of the row rows() is reading
+  std::string_view row_key_;
+  std::size_t row_pos_ = 0;
+};
+
+// ----- one field list per message -------------------------------------------
+
+template <class Io>
+void row_fields(Io& io, service::ChipMacroSummary& m) {
+  io.item(m.name);
+  io.item(m.instances);
+  io.item(m.inputs);
+  io.item(m.avg_nodes);
+  io.item(m.bound_nodes);
+  io.item(m.avg_outcome);
+  io.item(m.bound_outcome);
+  io.item(m.cache_hit);
+}
+
+template <class Io>
+void row_fields(Io& io, service::ChipComponentTotal& c) {
+  io.item(c.name);
+  io.item(c.total_ff);
+}
+
+/// A registry stats entry is opaque text ("<hex-id> <nodes> <circuit>").
+template <class Io>
+void row_fields(Io& io, std::string& line) {
+  io.rest(line);
+}
+
+/// `count_key <n>`, then n `row_key ...` lines.
+template <class Io, typename T>
+void counted_rows(Io& io, std::string_view count_key, std::string_view row_key,
+                  std::vector<T>& items) {
+  std::size_t count = items.size();
+  io.field(count_key, count);
+  io.rows(row_key, items, count);
+}
+
+template <class Io>
+void fields(Io& io, service::BuildRequest& req) {
+  io.field("version", req.api_version);
+  std::string circuit = req.netlist.name();
+  io.field("circuit", circuit);
   service::BuildOptions& o = req.options;
-  const auto kind = r.number<unsigned>("kind");
-  if (kind > static_cast<unsigned>(power::ModelKind::kLinear)) {
-    throw ParseError("wire: unknown model kind " + std::to_string(kind));
-  }
-  o.kind = static_cast<power::ModelKind>(kind);
-  o.max_nodes = r.number<std::size_t>("max-nodes");
-  const auto order = r.number<unsigned>("order");
-  if (order > static_cast<unsigned>(power::VariableOrder::kBlocked)) {
-    throw ParseError("wire: unknown variable order " + std::to_string(order));
-  }
-  o.order = static_cast<power::VariableOrder>(order);
-  o.reorder_passes = r.number<unsigned>("reorder-passes");
-  o.approximate_during_construction = parse_flag(r.field("approx"), "approx");
-  o.degrade = parse_flag(r.field("degrade"), "degrade");
-  const std::string_view deadline = r.field("deadline-ms");
-  if (deadline != "none") {
-    const auto ms = parse_number<std::size_t>(deadline);
-    if (!ms) {
-      throw ParseError("wire: bad deadline-ms: '" + std::string(deadline) +
-                       "'");
-    }
-    o.deadline_ms = *ms;
-  }
-  o.characterization_vectors = r.number<std::size_t>("char-vectors");
-  o.characterization_seed = r.number<std::uint64_t>("char-seed");
-  const std::size_t bench_size = r.number<std::size_t>("netlist");
-  std::istringstream bench{std::string(r.bytes(bench_size))};
-  req.netlist = netlist::read_bench(bench, circuit);
-  return req;
+  io.field("kind", o.kind);
+  io.field("max-nodes", o.max_nodes);
+  io.field("order", o.order);
+  io.field("reorder-passes", o.reorder_passes);
+  io.field("approx", o.approximate_during_construction);
+  io.field("degrade", o.degrade);
+  io.field("deadline-ms", o.deadline_ms);
+  io.field("char-vectors", o.characterization_vectors);
+  io.field("char-seed", o.characterization_seed);
+  io.netlist("netlist", circuit, req.netlist);
 }
 
-std::string encode_build_reply(const service::BuildReply& reply) {
-  std::ostringstream os;
-  os << "id " << reply.id.to_hex() << "\n"
-     << "status " << static_cast<unsigned>(reply.status) << "\n"
-     << "nodes " << reply.model_nodes << "\n"
-     << "cache-hit " << (reply.cache_hit ? 1 : 0) << "\n"
-     << "outcome " << static_cast<unsigned>(reply.build_info.outcome) << "\n"
-     << "attempts " << reply.build_info.attempts << "\n";
-  return os.str();
+/// The reply carries no model object (the daemon keeps it).
+template <class Io>
+void fields(Io& io, service::BuildReply& reply) {
+  io.field("id", reply.id);
+  io.field("status", reply.status);
+  io.field("nodes", reply.model_nodes);
+  io.field("cache-hit", reply.cache_hit);
+  io.field("outcome", reply.build_info.outcome);
+  io.field("attempts", reply.build_info.attempts);
 }
 
-service::BuildReply decode_build_reply(std::string_view payload) {
-  Reader r(payload);
-  service::BuildReply reply;
-  const std::string_view hex = r.field("id");
-  const auto id = service::ModelId::from_hex(hex);
-  if (!id) throw ParseError("wire: bad model id: '" + std::string(hex) + "'");
-  reply.id = *id;
-  const auto status = r.number<unsigned>("status");
-  if (status > static_cast<unsigned>(service::StatusCode::kInternal)) {
-    throw ParseError("wire: unknown status " + std::to_string(status));
-  }
-  reply.status = static_cast<service::StatusCode>(status);
-  reply.model_nodes = r.number<std::size_t>("nodes");
-  reply.cache_hit = parse_flag(r.field("cache-hit"), "cache-hit");
-  const auto outcome = r.number<unsigned>("outcome");
-  if (outcome > static_cast<unsigned>(power::BuildOutcome::kFallback)) {
-    throw ParseError("wire: unknown outcome " + std::to_string(outcome));
-  }
-  reply.build_info.outcome = static_cast<power::BuildOutcome>(outcome);
-  reply.build_info.attempts = r.number<std::size_t>("attempts");
-  return reply;
+template <class Io>
+void fields(Io& io, EvalQuery& q) {
+  io.field("version", q.request.api_version);
+  io.field("id", q.id);
+  io.field("sp", q.request.statistics.sp);
+  io.field("st", q.request.statistics.st);
+  io.field("vectors", q.request.vectors);
+  io.field("seed", q.request.seed);
 }
 
-// ---------------------------------------------------------------------------
-// Eval / trace messages
-// ---------------------------------------------------------------------------
-
-std::string encode_eval_query(const EvalQuery& query) {
-  std::ostringstream os;
-  os << "version " << query.request.api_version << "\n"
-     << "id " << query.id.to_hex() << "\n"
-     << "sp " << format_double(query.request.statistics.sp) << "\n"
-     << "st " << format_double(query.request.statistics.st) << "\n"
-     << "vectors " << query.request.vectors << "\n"
-     << "seed " << query.request.seed << "\n";
-  return os.str();
+template <class Io>
+void fields(Io& io, service::EvalReply& reply) {
+  io.field("status", reply.status);
+  io.field("cache-hit", reply.cache_hit);
+  io.field("total", reply.total_ff);
+  io.field("average", reply.average_ff);
+  io.field("peak", reply.peak_ff);
+  io.field("transitions", reply.transitions);
 }
 
-EvalQuery decode_eval_query(std::string_view payload) {
-  Reader r(payload);
-  EvalQuery q;
-  q.request.api_version = r.number<std::uint32_t>("version");
-  const std::string_view hex = r.field("id");
-  const auto id = service::ModelId::from_hex(hex);
-  if (!id) throw ParseError("wire: bad model id: '" + std::string(hex) + "'");
-  q.id = *id;
-  q.request.statistics.sp = r.number<double>("sp");
-  q.request.statistics.st = r.number<double>("st");
-  q.request.vectors = r.number<std::size_t>("vectors");
-  q.request.seed = r.number<std::uint64_t>("seed");
-  return q;
-}
-
-std::string encode_eval_reply(const service::EvalReply& reply) {
-  std::ostringstream os;
-  os << "status " << static_cast<unsigned>(reply.status) << "\n"
-     << "cache-hit " << (reply.cache_hit ? 1 : 0) << "\n"
-     << "total " << format_double(reply.total_ff) << "\n"
-     << "average " << format_double(reply.average_ff) << "\n"
-     << "peak " << format_double(reply.peak_ff) << "\n"
-     << "transitions " << reply.transitions << "\n";
-  return os.str();
-}
-
-service::EvalReply decode_eval_reply(std::string_view payload) {
-  Reader r(payload);
-  service::EvalReply reply;
-  const auto status = r.number<unsigned>("status");
-  if (status > static_cast<unsigned>(service::StatusCode::kInternal)) {
-    throw ParseError("wire: unknown status " + std::to_string(status));
-  }
-  reply.status = static_cast<service::StatusCode>(status);
-  reply.cache_hit = parse_flag(r.field("cache-hit"), "cache-hit");
-  reply.total_ff = r.number<double>("total");
-  reply.average_ff = r.number<double>("average");
-  reply.peak_ff = r.number<double>("peak");
-  reply.transitions = r.number<std::size_t>("transitions");
-  return reply;
-}
-
-std::string encode_trace_query(const TraceQuery& query) {
-  const sim::InputSequence& t = query.trace;
-  std::string bits;
-  bits.reserve(t.length() * t.num_inputs());
-  for (std::size_t step = 0; step < t.length(); ++step) {
-    for (std::size_t i = 0; i < t.num_inputs(); ++i) {
-      bits.push_back(t.bit(i, step) ? '1' : '0');
-    }
-  }
-  std::ostringstream os;
-  os << "version " << service::kApiVersion << "\n"
-     << "id " << query.id.to_hex() << "\n"
-     << "inputs " << t.num_inputs() << "\n"
-     << "length " << t.length() << "\n"
-     << "bits " << bits.size() << "\n"
-     << bits;
-  return os.str();
-}
-
-TraceQuery decode_trace_query(std::string_view payload) {
-  Reader r(payload);
-  const auto version = r.number<std::uint32_t>("version");
+template <class Io>
+void fields(Io& io, TraceQuery& q) {
+  // A TraceQuery has no version member: it is always sent at, and only
+  // accepted at, this build's API version.
+  std::uint32_t version = service::kApiVersion;
+  io.field("version", version);
   if (version != service::kApiVersion) {
     throw service::UsageError("wire: unsupported api version " +
                               std::to_string(version));
   }
-  TraceQuery q;
-  const std::string_view hex = r.field("id");
-  const auto id = service::ModelId::from_hex(hex);
-  if (!id) throw ParseError("wire: bad model id: '" + std::string(hex) + "'");
-  q.id = *id;
-  const std::size_t inputs = r.number<std::size_t>("inputs");
-  const std::size_t length = r.number<std::size_t>("length");
-  if (inputs == 0) throw ParseError("wire: trace with zero inputs");
-  const std::size_t declared = r.number<std::size_t>("bits");
-  if (declared != inputs * length) {
-    throw ParseError("wire: trace bit count mismatch");
-  }
-  const std::string_view bits = r.bytes(declared);
-  q.trace = sim::InputSequence(inputs, length);
-  for (std::size_t step = 0; step < length; ++step) {
-    for (std::size_t i = 0; i < inputs; ++i) {
-      const char c = bits[step * inputs + i];
-      if (c != '0' && c != '1') {
-        throw ParseError("wire: trace bit is not 0/1");
-      }
-      q.trace.set_bit(i, step, c == '1');
-    }
-  }
-  return q;
+  io.field("id", q.id);
+  std::size_t inputs = q.trace.num_inputs();
+  std::size_t length = q.trace.length();
+  io.field("inputs", inputs);
+  io.field("length", length);
+  io.bits("bits", inputs, length, q.trace);
 }
 
-// ---------------------------------------------------------------------------
-// Stats / error messages
-// ---------------------------------------------------------------------------
-
-std::string encode_stats_reply(const StatsReply& reply) {
-  std::ostringstream os;
-  os << "models " << reply.models << "\n"
-     << "hits " << reply.hits << "\n"
-     << "misses " << reply.misses << "\n"
-     << "builds " << reply.builds << "\n";
-  for (const std::string& line : reply.model_lines) {
-    os << "entry " << line << "\n";
-  }
-  return os.str();
+template <class Io>
+void fields(Io& io, StatsReply& reply) {
+  io.field("models", reply.models);
+  io.field("hits", reply.hits);
+  io.field("misses", reply.misses);
+  io.field("builds", reply.builds);
+  io.rows("entry", reply.model_lines, reply.models);  // one per model
 }
 
-StatsReply decode_stats_reply(std::string_view payload) {
+template <class Io>
+void fields(Io& io, service::ErrorPayload& error) {
+  io.field("code", error.code);
+  io.field("kind", error.kind);
+  io.block("message", error.message);
+}
+
+template <class Io>
+void fields(Io& io, service::ChipRequest& req) {
+  io.field("version", req.api_version);
+  io.field("spec", req.spec);
+  io.field("max-nodes", req.max_nodes);
+  io.field("degrade", req.degrade);
+  io.field("deadline-ms", req.deadline_ms);
+  io.field("sp", req.statistics.sp);
+  io.field("st", req.statistics.st);
+  io.field("vectors", req.vectors);
+  io.field("seed", req.seed);
+}
+
+template <class Io>
+void fields(Io& io, service::ChipReply& reply) {
+  io.field("status", reply.status);
+  io.field("spec", reply.spec);
+  io.field("macros", reply.macros);
+  io.field("components", reply.components);
+  io.field("bus-bits", reply.bus_bits);
+  io.field("transitions", reply.transitions);
+  io.field("total", reply.total_ff);
+  io.field("average", reply.average_ff);
+  io.field("peak", reply.peak_ff);
+  io.field("bound-total", reply.bound_total_ff);
+  io.field("bound-peak", reply.bound_peak_ff);
+  io.field("worst-sum", reply.worst_case_sum_ff);
+  io.field("cache-hits", reply.cache_hits);
+  counted_rows(io, "library", "macro", reply.library);
+  counted_rows(io, "blocks", "block", reply.blocks);
+  counted_rows(io, "instances", "instance", reply.instances);
+}
+
+template <class Msg>
+std::string encode(const Msg& msg) {
+  Writer w;
+  fields(w, const_cast<Msg&>(msg));  // Writer only reads through it
+  return w.take();
+}
+
+template <class Msg>
+Msg decode(std::string_view payload) {
   Reader r(payload);
-  StatsReply reply;
-  reply.models = r.number<std::uint64_t>("models");
-  reply.hits = r.number<std::uint64_t>("hits");
-  reply.misses = r.number<std::uint64_t>("misses");
-  reply.builds = r.number<std::uint64_t>("builds");
-  for (std::uint64_t i = 0; i < reply.models; ++i) {
-    reply.model_lines.emplace_back(r.field("entry"));
-  }
-  return reply;
-}
-
-std::string encode_error(const service::ErrorPayload& error) {
-  std::ostringstream os;
-  os << "code " << static_cast<unsigned>(error.code) << "\n"
-     << "kind " << static_cast<unsigned>(error.kind) << "\n"
-     << "message " << error.message.size() << "\n"
-     << error.message;
-  return os.str();
-}
-
-service::ErrorPayload decode_error(std::string_view payload) {
-  Reader r(payload);
-  service::ErrorPayload error;
-  const auto code = r.number<unsigned>("code");
-  if (code > static_cast<unsigned>(service::StatusCode::kInternal)) {
-    throw ParseError("wire: unknown status " + std::to_string(code));
-  }
-  error.code = static_cast<service::StatusCode>(code);
-  const auto kind = r.number<unsigned>("kind");
-  if (kind > static_cast<unsigned>(service::ErrorKind::kInternal)) {
-    throw ParseError("wire: unknown error kind " + std::to_string(kind));
-  }
-  error.kind = static_cast<service::ErrorKind>(kind);
-  const std::size_t size = r.number<std::size_t>("message");
-  error.message = std::string(r.bytes(size));
-  return error;
-}
-
-// ---------------------------------------------------------------------------
-// Chip messages
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Splits a field value into exactly `n` space-separated tokens. Chip
-/// component names are generated ("b2.m1.add5") and never contain spaces,
-/// so whitespace tokenization is unambiguous.
-std::vector<std::string_view> tokens(std::string_view v, std::size_t n,
-                                     std::string_view key) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos <= v.size() && out.size() < n) {
-    const std::size_t sp = out.size() + 1 == n ? std::string_view::npos
-                                               : v.find(' ', pos);
-    if (sp == std::string_view::npos) {
-      out.push_back(v.substr(pos));
-      pos = v.size() + 1;
-    } else {
-      out.push_back(v.substr(pos, sp - pos));
-      pos = sp + 1;
-    }
-  }
-  if (out.size() != n || out.back().empty() ||
-      out.back().find(' ') != std::string_view::npos) {
-    throw ParseError("wire: expected " + std::to_string(n) + " tokens in '" +
-                     std::string(key) + "' line");
-  }
-  return out;
-}
-
-template <typename T>
-T token_number(std::string_view v, std::string_view key) {
-  const auto parsed = parse_number<T>(v);
-  if (!parsed) {
-    throw ParseError("wire: bad number in '" + std::string(key) + "' line: '" +
-                     std::string(v) + "'");
-  }
-  return *parsed;
-}
-
-power::BuildOutcome token_outcome(std::string_view v, std::string_view key) {
-  const auto raw = token_number<unsigned>(v, key);
-  if (raw > static_cast<unsigned>(power::BuildOutcome::kFallback)) {
-    throw ParseError("wire: unknown outcome " + std::to_string(raw));
-  }
-  return static_cast<power::BuildOutcome>(raw);
+  Msg msg;
+  fields(r, msg);
+  return msg;
 }
 
 }  // namespace
 
-std::string encode_chip_request(const service::ChipRequest& req) {
-  std::ostringstream os;
-  os << "version " << req.api_version << "\n"
-     << "spec " << req.spec << "\n"
-     << "max-nodes " << req.max_nodes << "\n"
-     << "degrade " << (req.degrade ? 1 : 0) << "\n"
-     << "deadline-ms " << (req.deadline_ms ? std::to_string(*req.deadline_ms)
-                                           : std::string("none"))
-     << "\n"
-     << "sp " << format_double(req.statistics.sp) << "\n"
-     << "st " << format_double(req.statistics.st) << "\n"
-     << "vectors " << req.vectors << "\n"
-     << "seed " << req.seed << "\n";
-  return os.str();
+std::string encode_build_request(const service::BuildRequest& req) {
+  return encode(req);
+}
+service::BuildRequest decode_build_request(std::string_view payload) {
+  return decode<service::BuildRequest>(payload);
 }
 
+std::string encode_build_reply(const service::BuildReply& reply) {
+  return encode(reply);
+}
+service::BuildReply decode_build_reply(std::string_view payload) {
+  return decode<service::BuildReply>(payload);
+}
+
+std::string encode_eval_query(const EvalQuery& query) { return encode(query); }
+EvalQuery decode_eval_query(std::string_view payload) {
+  return decode<EvalQuery>(payload);
+}
+
+std::string encode_eval_reply(const service::EvalReply& reply) {
+  return encode(reply);
+}
+service::EvalReply decode_eval_reply(std::string_view payload) {
+  return decode<service::EvalReply>(payload);
+}
+
+std::string encode_trace_query(const TraceQuery& query) {
+  return encode(query);
+}
+TraceQuery decode_trace_query(std::string_view payload) {
+  return decode<TraceQuery>(payload);
+}
+
+std::string encode_stats_reply(const StatsReply& reply) {
+  return encode(reply);
+}
+StatsReply decode_stats_reply(std::string_view payload) {
+  return decode<StatsReply>(payload);
+}
+
+std::string encode_error(const service::ErrorPayload& error) {
+  return encode(error);
+}
+service::ErrorPayload decode_error(std::string_view payload) {
+  return decode<service::ErrorPayload>(payload);
+}
+
+std::string encode_chip_request(const service::ChipRequest& req) {
+  return encode(req);
+}
 service::ChipRequest decode_chip_request(std::string_view payload) {
-  Reader r(payload);
-  service::ChipRequest req;
-  req.api_version = r.number<std::uint32_t>("version");
-  req.spec = std::string(r.field("spec"));
-  req.max_nodes = r.number<std::size_t>("max-nodes");
-  req.degrade = parse_flag(r.field("degrade"), "degrade");
-  const std::string_view deadline = r.field("deadline-ms");
-  if (deadline != "none") {
-    const auto ms = parse_number<std::size_t>(deadline);
-    if (!ms) {
-      throw ParseError("wire: bad deadline-ms: '" + std::string(deadline) +
-                       "'");
-    }
-    req.deadline_ms = *ms;
-  }
-  req.statistics.sp = r.number<double>("sp");
-  req.statistics.st = r.number<double>("st");
-  req.vectors = r.number<std::size_t>("vectors");
-  req.seed = r.number<std::uint64_t>("seed");
-  return req;
+  return decode<service::ChipRequest>(payload);
 }
 
 std::string encode_chip_reply(const service::ChipReply& reply) {
-  std::ostringstream os;
-  os << "status " << static_cast<unsigned>(reply.status) << "\n"
-     << "spec " << reply.spec << "\n"
-     << "macros " << reply.macros << "\n"
-     << "components " << reply.components << "\n"
-     << "bus-bits " << reply.bus_bits << "\n"
-     << "transitions " << reply.transitions << "\n"
-     << "total " << format_double(reply.total_ff) << "\n"
-     << "average " << format_double(reply.average_ff) << "\n"
-     << "peak " << format_double(reply.peak_ff) << "\n"
-     << "bound-total " << format_double(reply.bound_total_ff) << "\n"
-     << "bound-peak " << format_double(reply.bound_peak_ff) << "\n"
-     << "worst-sum " << format_double(reply.worst_case_sum_ff) << "\n"
-     << "cache-hits " << reply.cache_hits << "\n"
-     << "library " << reply.library.size() << "\n";
-  for (const service::ChipMacroSummary& m : reply.library) {
-    os << "macro " << m.name << " " << m.instances << " " << m.inputs << " "
-       << m.avg_nodes << " " << m.bound_nodes << " "
-       << static_cast<unsigned>(m.avg_outcome) << " "
-       << static_cast<unsigned>(m.bound_outcome) << " "
-       << (m.cache_hit ? 1 : 0) << "\n";
-  }
-  os << "blocks " << reply.blocks.size() << "\n";
-  for (const service::ChipComponentTotal& b : reply.blocks) {
-    os << "block " << b.name << " " << format_double(b.total_ff) << "\n";
-  }
-  os << "instances " << reply.instances.size() << "\n";
-  for (const service::ChipComponentTotal& i : reply.instances) {
-    os << "instance " << i.name << " " << format_double(i.total_ff) << "\n";
-  }
-  return os.str();
+  return encode(reply);
 }
-
 service::ChipReply decode_chip_reply(std::string_view payload) {
-  Reader r(payload);
-  service::ChipReply reply;
-  const auto status = r.number<unsigned>("status");
-  if (status > static_cast<unsigned>(service::StatusCode::kInternal)) {
-    throw ParseError("wire: unknown status " + std::to_string(status));
-  }
-  reply.status = static_cast<service::StatusCode>(status);
-  reply.spec = std::string(r.field("spec"));
-  reply.macros = r.number<std::size_t>("macros");
-  reply.components = r.number<std::size_t>("components");
-  reply.bus_bits = r.number<std::size_t>("bus-bits");
-  reply.transitions = r.number<std::size_t>("transitions");
-  reply.total_ff = r.number<double>("total");
-  reply.average_ff = r.number<double>("average");
-  reply.peak_ff = r.number<double>("peak");
-  reply.bound_total_ff = r.number<double>("bound-total");
-  reply.bound_peak_ff = r.number<double>("bound-peak");
-  reply.worst_case_sum_ff = r.number<double>("worst-sum");
-  reply.cache_hits = r.number<std::size_t>("cache-hits");
-  const std::size_t library = r.number<std::size_t>("library");
-  for (std::size_t i = 0; i < library; ++i) {
-    const auto t = tokens(r.field("macro"), 8, "macro");
-    service::ChipMacroSummary m;
-    m.name = std::string(t[0]);
-    m.instances = token_number<std::size_t>(t[1], "macro");
-    m.inputs = token_number<std::size_t>(t[2], "macro");
-    m.avg_nodes = token_number<std::size_t>(t[3], "macro");
-    m.bound_nodes = token_number<std::size_t>(t[4], "macro");
-    m.avg_outcome = token_outcome(t[5], "macro");
-    m.bound_outcome = token_outcome(t[6], "macro");
-    m.cache_hit = parse_flag(t[7], "macro");
-    reply.library.push_back(std::move(m));
-  }
-  const std::size_t blocks = r.number<std::size_t>("blocks");
-  for (std::size_t i = 0; i < blocks; ++i) {
-    const auto t = tokens(r.field("block"), 2, "block");
-    reply.blocks.push_back(
-        {std::string(t[0]), token_number<double>(t[1], "block")});
-  }
-  const std::size_t instances = r.number<std::size_t>("instances");
-  for (std::size_t i = 0; i < instances; ++i) {
-    const auto t = tokens(r.field("instance"), 2, "instance");
-    reply.instances.push_back(
-        {std::string(t[0]), token_number<double>(t[1], "instance")});
-  }
-  return reply;
+  return decode<service::ChipReply>(payload);
 }
 
 }  // namespace cfpm::serve::wire

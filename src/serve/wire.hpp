@@ -3,7 +3,7 @@
 // A frame is a fixed 16-byte binary header followed by a text payload:
 //
 //   bytes 0..3   magic "CFPM"
-//   bytes 4..5   protocol version (u16 LE) — currently 1
+//   bytes 4..5   protocol version (u16 LE, kProtocolVersion)
 //   bytes 6..7   message type (u16 LE, MsgType)
 //   bytes 8..11  payload length (u32 LE)
 //   bytes 12..15 CRC-32 of the payload (u32 LE)
@@ -16,10 +16,14 @@
 // through support/parse format_double (shortest round-trip form), netlists
 // and traces as counted byte blocks. Text payloads keep the protocol
 // greppable in captures and reuse the repo's hardened number parsing.
+// Each message's field sequence is defined once in wire.cpp and walked in
+// both directions.
 //
-// Every decode_* throws cfpm::ParseError on malformed input and
-// cfpm::Error on a protocol-version mismatch; encode/decode pairs
-// round-trip bit-exactly (tested).
+// Every decode_* throws cfpm::ParseError on malformed input (a trace
+// query also throws service::UsageError on an API version mismatch) and
+// decode_header throws cfpm::Error on a protocol-version mismatch;
+// encode/decode pairs round-trip bit-exactly, and golden tests pin the
+// payload bytes.
 #pragma once
 
 #include <cstdint>

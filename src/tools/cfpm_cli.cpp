@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "dd/simd.hpp"
 #include "eval/experiment.hpp"
 #include "eval/table.hpp"
 #include "netlist/bench_io.hpp"
@@ -83,7 +82,7 @@ int usage() {
       "  cfpm build <circuit> [-m MAX] [--bound] [-o model.cfpm]\n"
       "             [--deadline-ms N] [--no-degrade]\n"
       "  cfpm estimate <model.cfpm> [--sp P] [--st P] [--vectors N] [--vdd V]\n"
-      "                [--threads N] [--compiled] [--simd T]\n"
+      "                [--threads N] [--compiled]\n"
       "  cfpm worst <model.cfpm>\n"
       "  cfpm accuracy <circuit> [-m MAX] [--vectors N] [--deadline-ms N]\n"
       "  cfpm trace <circuit> -o out.vcd [--sp P] [--st P] [--vectors N]\n"
@@ -117,9 +116,9 @@ int usage() {
       "macros share bus bits. --shards N shards the streaming evaluator\n"
       "(0 = all hardware threads; bit-identical for any N); --trace FILE\n"
       "evaluates a text bit-matrix trace instead of the seeded workload.\n"
-      "--simd auto|scalar|avx2|avx512 caps the evaluation kernel tier\n"
-      "(default auto = best the CPU supports; the CFPM_SIMD environment\n"
-      "variable sets the same cap). All tiers are bit-identical.\n"
+      "The CFPM_SIMD environment variable (auto|scalar|avx2|avx512) caps\n"
+      "the evaluation kernel tier (default auto = best the CPU supports).\n"
+      "All tiers are bit-identical.\n"
       "--compiled prints compiled-evaluator diagnostics and throughput.\n"
       "--deadline-ms N bounds model construction by wall clock; on expiry\n"
       "the build degrades (harder approximation, then a constant bound)\n"
@@ -348,16 +347,6 @@ std::optional<Args> parse(int argc, char** argv) {
       ok = number(a.threads);
     } else if (flag == "--build-threads") {
       ok = number(a.build_pool_threads);
-    } else if (flag == "--simd") {
-      // Applied immediately: the tier cap is process-global state, and
-      // request_simd_tier doubles as the validator.
-      std::string name;
-      ok = text(name) && [&] {
-        if (dd::simd::request_simd_tier(name)) return true;
-        std::cerr << "invalid value for --simd: '" << name
-                  << "' (expect auto|scalar|avx2|avx512)\n";
-        return false;
-      }();
     } else if (flag == "--compiled") {
       ok = boolean(a.compiled, true);
     } else if (flag == "--deadline-ms") {
@@ -635,7 +624,9 @@ int cmd_sensitivity(const Args& a) {
     const auto width =
         max_s > 0.0 ? static_cast<std::size_t>(20.0 * std::abs(s[k]) / max_s)
                     : 0;
-    table.add_row({"x" + std::to_string(k), eval::TextTable::num(s[k], 2),
+    std::string input = "x";
+    input += std::to_string(k);
+    table.add_row({std::move(input), eval::TextTable::num(s[k], 2),
                    std::string(width, '#')});
   }
   table.print(std::cout);

@@ -75,6 +75,24 @@ void fill_random_bits(Xoshiro256& rng, std::span<std::uint8_t> out) {
   for (auto& b : out) b = rng.next_bool(0.5) ? 1 : 0;
 }
 
+constexpr std::size_t kWideLanes = 64 * dd::CompiledDd::kPackedGroups;
+
+/// Packs assignments [base, base + m) of row-major `assignments` (nvars
+/// bytes each) into the layout CompiledDd::eval_packed_wide reads.
+void pack_lanes(std::span<const std::uint8_t> assignments, std::size_t nvars,
+                std::size_t base, std::size_t m,
+                std::vector<std::uint64_t>& bits) {
+  constexpr std::size_t kGroups = dd::CompiledDd::kPackedGroups;
+  bits.assign(kGroups * nvars, 0);
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t v = 0; v < nvars; ++v) {
+      bits[kGroups * v + k / 64] |=
+          static_cast<std::uint64_t>(assignments[(base + k) * nvars + v])
+          << (k % 64);
+    }
+  }
+}
+
 /// Build options with the free knobs (variable order, reorder effort)
 /// sampled from the check's RNG. `max_nodes == 0` builds the exact model.
 power::AddModelOptions sampled_options(Xoshiro256& rng, std::size_t max_nodes,
@@ -166,7 +184,7 @@ CheckResult check_model_vs_sim(const Netlist& n, const CheckContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// (b) Compiled evaluators against the interpreted Add, bit for bit.
+// (b) The compiled evaluator against the interpreted Add, bit for bit.
 // ---------------------------------------------------------------------------
 
 CheckResult check_compiled_vs_interp(const Netlist& n,
@@ -186,9 +204,8 @@ CheckResult check_compiled_vs_interp(const Netlist& n,
   const dd::CompiledDd c2 = dd::CompiledDd::compile(f2);
 
   const std::size_t nvars = 2 * n.num_inputs();
-  constexpr std::size_t kWide = 64 * dd::CompiledDd::kPackedGroups;
-  const std::size_t count = ((std::max<std::size_t>(ctx.patterns, kWide) +
-                              kWide - 1) / kWide) * kWide;
+  // Enough lanes for every batch shape below to occur at least once.
+  const std::size_t count = std::max(ctx.patterns, 2 * kWideLanes);
   std::vector<std::uint8_t> assignments(count * nvars);
   fill_random_bits(rng, assignments);
   std::vector<double> ref(count), ref2(count);
@@ -206,75 +223,33 @@ CheckResult check_compiled_vs_interp(const Netlist& n,
                 " on assignment " + bits_string(a));
   };
 
-  for (std::size_t p = 0; p < count; ++p) {
-    const std::span<const std::uint8_t> a(&assignments[p * nvars], nvars);
-    const double got = c.eval(a);
-    if (got != ref[p]) return mismatch("CompiledDd::eval", p, got, ref[p]);
-  }
-
-  std::vector<double> out(count);
-  c.eval_block(assignments.data(), nvars, count, out.data());
-  for (std::size_t p = 0; p < count; ++p) {
-    if (out[p] != ref[p]) return mismatch("eval_block", p, out[p], ref[p]);
-  }
-
-  // eval_packed, alternating diagrams through one shared scratch buffer.
+  // Batches of every shape (one lane; three groups padded to a four-group
+  // sub-sweep; full; ragged tail), each swept by c, then by c2 through the
+  // SAME scratch buffer, then by c again.
+  const std::size_t shapes[] = {1, 64 * 2 + 5, kWideLanes, kWideLanes - 37};
+  const struct {
+    const dd::CompiledDd& dd;
+    const std::vector<double>& want;
+    const char* engine;
+  } sweeps[] = {{c, ref, "eval_packed_wide"},
+                {c2, ref2, "eval_packed_wide (scratch reuse across DDs)"},
+                {c, ref, "eval_packed_wide (scratch round trip)"}};
+  std::vector<std::uint64_t> bits;
   std::vector<std::uint64_t> scratch;
-  std::vector<std::uint64_t> bits(nvars);
-  double lanes[64];
-  for (std::size_t base = 0; base < count; base += 64) {
-    const std::size_t m = std::min<std::size_t>(64, count - base);
-    for (std::size_t v = 0; v < nvars; ++v) {
-      std::uint64_t w = 0;
+  std::vector<double> out(kWideLanes);
+  for (std::size_t base = 0, batch = 0; base < count; ++batch) {
+    const std::size_t m = std::min(shapes[batch % 4], count - base);
+    pack_lanes(assignments, nvars, base, m, bits);
+    for (const auto& sweep : sweeps) {
+      sweep.dd.eval_packed_wide(bits.data(), m, out.data(), scratch);
       for (std::size_t k = 0; k < m; ++k) {
-        w |= static_cast<std::uint64_t>(assignments[(base + k) * nvars + v])
-             << k;
-      }
-      bits[v] = w;
-    }
-    c.eval_packed(bits.data(), m, lanes, scratch);
-    for (std::size_t k = 0; k < m; ++k) {
-      if (lanes[k] != ref[base + k]) {
-        return mismatch("eval_packed", base + k, lanes[k], ref[base + k]);
+        if (out[k] != sweep.want[base + k]) {
+          return mismatch(sweep.engine, base + k, out[k],
+                          sweep.want[base + k]);
+        }
       }
     }
-    c2.eval_packed(bits.data(), m, lanes, scratch);  // same scratch, other DD
-    for (std::size_t k = 0; k < m; ++k) {
-      if (lanes[k] != ref2[base + k]) {
-        return mismatch("eval_packed (scratch reuse across DDs)", base + k,
-                        lanes[k], ref2[base + k]);
-      }
-    }
-    c.eval_packed(bits.data(), m, lanes, scratch);  // and back again
-    for (std::size_t k = 0; k < m; ++k) {
-      if (lanes[k] != ref[base + k]) {
-        return mismatch("eval_packed (scratch round trip)", base + k, lanes[k],
-                        ref[base + k]);
-      }
-    }
-  }
-
-  // eval_packed_wide over kPackedGroups 64-lane groups per sweep.
-  constexpr std::size_t kGroups = dd::CompiledDd::kPackedGroups;
-  std::vector<std::uint64_t> wide_bits(kGroups * nvars);
-  std::vector<double> wide_out(kWide);
-  for (std::size_t base = 0; base < count; base += kWide) {
-    const std::size_t m = std::min<std::size_t>(kWide, count - base);
-    std::fill(wide_bits.begin(), wide_bits.end(), 0);
-    for (std::size_t v = 0; v < nvars; ++v) {
-      for (std::size_t k = 0; k < m; ++k) {
-        wide_bits[kGroups * v + k / 64] |=
-            static_cast<std::uint64_t>(assignments[(base + k) * nvars + v])
-            << (k % 64);
-      }
-    }
-    c.eval_packed_wide(wide_bits.data(), m, wide_out.data(), scratch);
-    for (std::size_t k = 0; k < m; ++k) {
-      if (wide_out[k] != ref[base + k]) {
-        return mismatch("eval_packed_wide", base + k, wide_out[k],
-                        ref[base + k]);
-      }
-    }
+    base += m;
   }
   return pass();
 }
@@ -433,28 +408,36 @@ CheckResult check_sift_equivalence(const Netlist& n, const CheckContext& ctx) {
   // The compiled snapshot taken before the reorder must stay valid: it
   // shares nothing with the manager.
   const dd::CompiledDd before = dd::CompiledDd::compile(f);
-  std::vector<std::vector<std::uint8_t>> samples(ctx.patterns);
+  std::vector<std::uint8_t> samples(ctx.patterns * nvars);
+  fill_random_bits(rng, samples);
+  auto sample = [&](std::size_t p) {
+    return std::span<const std::uint8_t>(&samples[p * nvars], nvars);
+  };
   std::vector<double> want(ctx.patterns);
-  for (std::size_t p = 0; p < ctx.patterns; ++p) {
-    samples[p].resize(nvars);
-    fill_random_bits(rng, samples[p]);
-    want[p] = f.eval(samples[p]);
-  }
+  for (std::size_t p = 0; p < ctx.patterns; ++p) want[p] = f.eval(sample(p));
   const double avg_before = f.average();
 
   f.manager()->sift(1.0 + rng.next_double());
 
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint64_t> scratch;
+  std::vector<double> snap(kWideLanes);
   for (std::size_t p = 0; p < ctx.patterns; ++p) {
-    const double got = f.eval(samples[p]);
+    const double got = f.eval(sample(p));
     if (got != want[p]) {
       return fail("sift changed the function: " + format_double(got) +
                   " vs " + format_double(want[p]) + " on assignment " +
-                  bits_string(samples[p]));
+                  bits_string(sample(p)));
     }
-    const double snap = before.eval(samples[p]);
-    if (snap != want[p]) {
+    const std::size_t lane = p % kWideLanes;
+    if (lane == 0) {
+      const std::size_t m = std::min(kWideLanes, ctx.patterns - p);
+      pack_lanes(samples, nvars, p, m, bits);
+      before.eval_packed_wide(bits.data(), m, snap.data(), scratch);
+    }
+    if (snap[lane] != want[p]) {
       return fail("pre-sift compiled snapshot invalidated by reorder: " +
-                  format_double(snap) + " vs " + format_double(want[p]));
+                  format_double(snap[lane]) + " vs " + format_double(want[p]));
     }
   }
   if (!close(f.average(), avg_before, 1e-9)) {
@@ -774,8 +757,8 @@ constexpr Check kChecks[] = {
      "exact ADD C(x_i,x_f) equals golden zero-delay simulation (Eq. 4)",
      check_model_vs_sim},
     {"compiled-vs-interp",
-     "compiled eval/eval_block/eval_packed/eval_packed_wide match "
-     "interpreted Add::eval bit-for-bit, including scratch reuse",
+     "compiled eval_packed_wide matches interpreted Add::eval bit-for-bit "
+     "on every batch shape, including scratch reuse across diagrams",
      check_compiled_vs_interp},
     {"collapse-avg",
      "avg-collapse and average-mode leaf quantization preserve the uniform "

@@ -40,52 +40,50 @@ power::AddPowerModel random_model(int index) {
   return power::AddPowerModel::build(n, netlist::GateLibrary::standard(), opt);
 }
 
+/// Evaluates row-major `assignments` (nv bytes each) through
+/// eval_packed_wide, 64 * kPackedGroups at a time; the last batch is ragged
+/// unless the count divides evenly.
+std::vector<double> eval_wide(const CompiledDd& c,
+                              const std::vector<std::uint8_t>& assignments,
+                              std::size_t nv) {
+  constexpr std::size_t kGroups = CompiledDd::kPackedGroups;
+  const std::size_t count = assignments.size() / nv;
+  std::vector<double> out(count);
+  std::vector<std::uint64_t> bits(kGroups * nv);
+  std::vector<std::uint64_t> scratch;
+  for (std::size_t base = 0; base < count; base += 64 * kGroups) {
+    const std::size_t m = std::min(64 * kGroups, count - base);
+    std::fill(bits.begin(), bits.end(), 0);
+    for (std::size_t k = 0; k < m; ++k) {
+      for (std::size_t v = 0; v < nv; ++v) {
+        bits[kGroups * v + k / 64] |=
+            static_cast<std::uint64_t>(assignments[(base + k) * nv + v])
+            << (k % 64);
+      }
+    }
+    c.eval_packed_wide(bits.data(), m, out.data() + base, scratch);
+  }
+  return out;
+}
+
 TEST(CompiledEval, MatchesNodeWalkOnRandomNetlistAdds) {
   Xoshiro256 rng(0xc0317ed);
   for (int c = 0; c < 20; ++c) {
     const power::AddPowerModel model = random_model(c);
     const dd::Add& f = model.function();
-    const CompiledDd& compiled = model.compiled();
     const std::size_t nv = 2 * model.num_inputs();
 
+    // kPatterns % 512 == 272: the last batch ends in a partial group.
     constexpr std::size_t kPatterns = 10000;
     std::vector<std::uint8_t> assignments(kPatterns * nv);
     for (std::uint8_t& b : assignments) {
       b = static_cast<std::uint8_t>(rng.next() & 1u);
     }
-    // Scalar walk equivalence, bit for bit.
-    for (std::size_t p = 0; p < kPatterns; ++p) {
-      std::span<const std::uint8_t> a(assignments.data() + p * nv, nv);
-      ASSERT_EQ(compiled.eval(a), f.eval(a))
-          << "circuit " << c << " pattern " << p;
-    }
-    // Batch (lane-blocked) equivalence.
-    std::vector<double> out(kPatterns);
-    compiled.eval_block(assignments.data(), nv, kPatterns, out.data());
+    const std::vector<double> out =
+        eval_wide(model.compiled(), assignments, nv);
     for (std::size_t p = 0; p < kPatterns; ++p) {
       std::span<const std::uint8_t> a(assignments.data() + p * nv, nv);
       ASSERT_EQ(out[p], f.eval(a)) << "circuit " << c << " pattern " << p;
-    }
-    // Bit-parallel (64 assignments per sweep) equivalence, including the
-    // ragged tail block (kPatterns % 64 == 16).
-    std::vector<std::uint64_t> bits(nv);
-    std::vector<std::uint64_t> scratch;
-    double packed_out[64];
-    for (std::size_t base = 0; base < kPatterns; base += 64) {
-      const std::size_t m = std::min<std::size_t>(64, kPatterns - base);
-      for (std::size_t v = 0; v < nv; ++v) {
-        std::uint64_t w = 0;
-        for (std::size_t k = 0; k < m; ++k) {
-          w |= static_cast<std::uint64_t>(assignments[(base + k) * nv + v])
-               << k;
-        }
-        bits[v] = w;
-      }
-      compiled.eval_packed(bits.data(), m, packed_out, scratch);
-      for (std::size_t k = 0; k < m; ++k) {
-        ASSERT_EQ(packed_out[k], out[base + k])
-            << "circuit " << c << " pattern " << base + k;
-      }
     }
   }
 }
@@ -95,15 +93,21 @@ TEST(CompiledEval, HandlesConstantsAndBdds) {
   const CompiledDd c = CompiledDd::compile(mgr.constant(2.5));
   EXPECT_EQ(c.num_internal_nodes(), 0u);
   EXPECT_EQ(c.depth(), 0u);
-  const std::vector<std::uint8_t> empty;
-  EXPECT_EQ(c.eval(empty), 2.5);
+  for (const double v : eval_wide(c, std::vector<std::uint8_t>(3 * 4), 4)) {
+    EXPECT_EQ(v, 2.5);
+  }
 
+  // A BDD compiles through its 0/1 ADD.
   const dd::Bdd f = (mgr.bdd_var(0) & mgr.bdd_var(1)) | mgr.bdd_var(3);
-  const CompiledDd cb = CompiledDd::compile(f);
-  std::vector<std::uint8_t> a(4);
+  std::vector<std::uint8_t> all(16 * 4);
   for (unsigned bits = 0; bits < 16; ++bits) {
-    for (unsigned v = 0; v < 4; ++v) a[v] = (bits >> v) & 1u;
-    EXPECT_EQ(cb.eval(a) != 0.0, f.eval(a)) << "bits " << bits;
+    for (unsigned v = 0; v < 4; ++v) all[4 * bits + v] = (bits >> v) & 1u;
+  }
+  const std::vector<double> out = eval_wide(CompiledDd::compile(dd::Add(f)),
+                                            all, 4);
+  for (unsigned bits = 0; bits < 16; ++bits) {
+    std::span<const std::uint8_t> a(all.data() + 4 * bits, 4);
+    EXPECT_EQ(out[bits] != 0.0, f.eval(a)) << "bits " << bits;
   }
 }
 
@@ -126,7 +130,7 @@ TEST(CompiledEval, SnapshotSurvivesManagerGcAndReordering) {
   }
   mgr.collect_garbage();
   mgr.sift();
-  EXPECT_EQ(compiled.eval(a), expected);
+  EXPECT_EQ(eval_wide(compiled, a, 6).front(), expected);
 }
 
 TEST(CompiledEval, EstimateTraceBitIdenticalAcrossThreadCounts) {

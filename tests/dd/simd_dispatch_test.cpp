@@ -1,12 +1,12 @@
 // Dispatch-policy tests for dd/simd.hpp: requested-tier plumbing, the
-// detected-tier clamp, name parsing, and the CFPM_SIMD environment
-// override. Kernel output equivalence lives in the simd-dispatch fuzz
+// detected-tier clamp, and the CFPM_SIMD environment override with its
+// name parsing. Kernel output equivalence lives in the simd-dispatch fuzz
 // oracle and compiled_eval_test; this file is only about tier selection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <string_view>
+#include <string>
 
 #include "dd/simd.hpp"
 
@@ -44,20 +44,24 @@ TEST_F(SimdDispatchTest, ActiveTierIsRequestClampedToDetection) {
   EXPECT_EQ(dd::simd::active_simd_tier(), detected);
 }
 
-TEST_F(SimdDispatchTest, ParsesTierNamesAndRejectsEverythingElse) {
-  EXPECT_TRUE(dd::simd::request_simd_tier("scalar"));
-  EXPECT_EQ(dd::simd::active_simd_tier(), Tier::kScalar);
-  EXPECT_TRUE(dd::simd::request_simd_tier("avx2"));
-  EXPECT_TRUE(dd::simd::request_simd_tier("avx512"));
-  EXPECT_TRUE(dd::simd::request_simd_tier("auto"));
-  EXPECT_EQ(dd::simd::active_simd_tier(), dd::simd::detect_simd_tier());
+/// Requests `name` through CFPM_SIMD, the one name-based override.
+Tier request_via_env(const char* name) {
+  EXPECT_EQ(::setenv("CFPM_SIMD", name, 1), 0);
+  dd::simd::refresh_simd_tier_from_env();
+  return dd::simd::active_simd_tier();
+}
 
-  dd::simd::request_simd_tier(Tier::kScalar);
+TEST_F(SimdDispatchTest, ParsesTierNamesAndRejectsEverythingElse) {
+  const Tier detected = dd::simd::detect_simd_tier();
+  EXPECT_EQ(request_via_env("scalar"), Tier::kScalar);
+  EXPECT_EQ(request_via_env("avx2"), std::min(Tier::kAvx2, detected));
+  EXPECT_EQ(request_via_env("avx512"), std::min(Tier::kAvx512, detected));
+  EXPECT_EQ(request_via_env("auto"), detected);
+
+  // A rejected name falls back to auto rather than being half-parsed.
   for (const char* bad : {"", "AVX2", "sse", "avx-512", "scalar ", "1"}) {
-    EXPECT_FALSE(dd::simd::request_simd_tier(bad)) << "accepted '" << bad
-                                                   << "'";
-    EXPECT_EQ(dd::simd::active_simd_tier(), Tier::kScalar)
-        << "rejected name '" << bad << "' changed the state";
+    dd::simd::request_simd_tier(Tier::kScalar);
+    EXPECT_EQ(request_via_env(bad), detected) << "accepted '" << bad << "'";
   }
 }
 
@@ -81,10 +85,10 @@ TEST_F(SimdDispatchTest, UnsetOrInvalidEnvironmentResetsToAuto) {
 
 TEST_F(SimdDispatchTest, TierNamesRoundTrip) {
   for (const Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
-    const std::string_view name = dd::simd::simd_tier_name(t);
-    ASSERT_TRUE(dd::simd::request_simd_tier(name)) << name;
-    EXPECT_EQ(dd::simd::active_simd_tier(),
-              std::min(t, dd::simd::detect_simd_tier()));
+    const std::string name(dd::simd::simd_tier_name(t));
+    EXPECT_EQ(request_via_env(name.c_str()),
+              std::min(t, dd::simd::detect_simd_tier()))
+        << name;
   }
 }
 

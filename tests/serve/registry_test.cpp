@@ -32,7 +32,8 @@ Registry::Entry entry_of(std::uint64_t key, double value) {
   Registry::Entry e;
   e.id = {key, key ^ 0x5a5a5a5a5a5a5a5aull};
   e.model = constant_model(value);
-  e.circuit = "m" + std::to_string(key);
+  e.circuit = "m";
+  e.circuit += std::to_string(key);
   return e;
 }
 
