@@ -19,86 +19,121 @@ namespace {
 
 constexpr std::string_view kManifestMagic = "cfpm-registry 1";
 
+// The registry is the daemon's cache, so its probes are the cache's
+// hit/miss counters (read back by `cfpm query stats`).
 const metrics::Counter& c_hit() {
-  static const metrics::Counter c("registry.lookup.hit");
+  static const metrics::Counter c("serve.cache.hit");
   return c;
 }
 const metrics::Counter& c_miss() {
-  static const metrics::Counter c("registry.lookup.miss");
+  static const metrics::Counter c("serve.cache.miss");
   return c;
 }
 
 }  // namespace
 
-Registry::~Registry() {
-  delete index_.load(std::memory_order_acquire);
-  // graveyard_ frees its snapshots via unique_ptr.
+const Registry::Slot* Registry::find_locked(
+    const service::ModelId& id) const {
+  const auto it = slots_.find(id.key);
+  if (it == slots_.end()) return nullptr;
+  const service::ModelId& have = it->second.entry.id;
+  if (have.check != id.check) {
+    // Same 64-bit primary key, different content. Serving (or waiting on)
+    // this slot would hand the requester a model of some other netlist;
+    // refuse loudly.
+    throw Error("registry: content-hash collision on key " + id.to_hex() +
+                " (admitted as " + have.to_hex() + ")");
+  }
+  return &it->second;
 }
 
 std::shared_ptr<const power::PowerModel> Registry::lookup(
     const service::ModelId& id) const {
-  const Index* idx = index_.load(std::memory_order_acquire);
-  if (idx == nullptr || idx->slots.empty()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const Slot* slot = find_locked(id);
+  if (slot == nullptr || !slot->entry.model) {
     c_miss().add();
     return nullptr;
-  }
-  const std::size_t slot = idx->mph.slot_of(id.key);
-  const Entry* e = idx->slots[slot];
-  if (e->id.key != id.key) {
-    c_miss().add();
-    return nullptr;
-  }
-  if (e->id.check != id.check) {
-    // Same 64-bit primary key, different content. Serving e->model would
-    // hand the requester a model of some other netlist; refuse loudly.
-    throw Error("registry: content-hash collision on key " + id.to_hex() +
-                " (admitted as " + e->id.to_hex() + ")");
   }
   c_hit().add();
-  return e->model;
+  return slot->entry.model;
+}
+
+service::BuildReply Registry::get_or_build(
+    const service::ModelId& id, const std::string& circuit,
+    const std::function<service::BuildReply()>& build) {
+  std::promise<service::BuildReply> promise;
+  std::shared_future<service::BuildReply> pending;  // stays invalid: we build
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const Slot* slot = find_locked(id);
+    if (slot != nullptr && slot->entry.model) {
+      c_hit().add();
+      service::BuildReply reply;
+      reply.id = id;
+      reply.cache_hit = true;
+      reply.model = slot->entry.model;
+      reply.model_nodes = slot->entry.nodes;
+      return reply;
+    }
+    if (slot != nullptr) {
+      pending = slot->pending;
+    } else {
+      Slot& fresh = slots_[id.key];
+      fresh.entry.id = id;
+      fresh.pending = promise.get_future().share();
+    }
+  }
+  c_miss().add();
+  if (pending.valid()) return pending.get();  // rethrows a failed build
+
+  // Admit or forget before the promise is kept: a waiter that wakes to a
+  // kOk reply must find the model admitted.
+  try {
+    service::BuildReply reply = build();
+    if (reply.status == service::StatusCode::kOk && reply.model) {
+      admit({id, reply.model, circuit, reply.model_nodes});
+    } else {
+      forget(id);
+    }
+    promise.set_value(reply);
+    return reply;
+  } catch (...) {
+    forget(id);
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+}
+
+void Registry::forget(const service::ModelId& id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = slots_.find(id.key);
+  if (it != slots_.end() && !it->second.entry.model) slots_.erase(it);
 }
 
 bool Registry::admit(Entry entry) {
   if (!entry.model) throw ContractError("Registry::admit: null model");
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.id.key != entry.id.key) continue;
-    if (e.id.check == entry.id.check) return false;  // already admitted
-    throw Error("registry: content-hash collision on key " +
-                entry.id.to_hex() + " (admitted as " + e.id.to_hex() + ")");
-  }
-  entries_.push_back(std::move(entry));
-  publish_locked();
+  (void)find_locked(entry.id);  // throws on a collision
+  Slot& slot = slots_[entry.id.key];  // new, or a build in flight
+  if (slot.entry.model) return false;  // already admitted
+  slot.entry = std::move(entry);
+  slot.pending = {};
+  order_.push_back(&slot.entry);
   return true;
-}
-
-void Registry::publish_locked() {
-  auto idx = std::make_unique<Index>();
-  std::vector<std::uint64_t> keys;
-  keys.reserve(entries_.size());
-  for (const Entry& e : entries_) keys.push_back(e.id.key);
-  idx->mph = Mph::build(keys);
-  idx->slots.resize(entries_.size());
-  for (const Entry& e : entries_) {
-    idx->slots[idx->mph.slot_of(e.id.key)] = &e;
-  }
-  const Index* old =
-      index_.exchange(idx.release(), std::memory_order_acq_rel);
-  if (old != nullptr) {
-    // A reader may still be walking the retired snapshot; keep it alive
-    // until the registry itself dies (see header).
-    graveyard_.emplace_back(old);
-  }
 }
 
 std::size_t Registry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return order_.size();
 }
 
 std::vector<Registry::Entry> Registry::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {entries_.begin(), entries_.end()};
+  std::vector<Entry> out;
+  out.reserve(order_.size());
+  for (const Entry* e : order_) out.push_back(*e);
+  return out;
 }
 
 void Registry::save(const std::string& dir) const {
@@ -193,12 +228,7 @@ std::size_t Registry::load(const std::string& dir) {
     try {
       auto model = std::make_shared<power::AddPowerModel>(
           power::AddPowerModel::load(in));
-      Entry entry;
-      entry.id = *id;
-      entry.circuit = circuit;
-      entry.nodes = nodes;
-      entry.model = std::move(model);
-      if (admit(std::move(entry))) {
+      if (admit({*id, std::move(model), circuit, nodes})) {
         ++admitted;
         c_loaded.add();
       }

@@ -1,29 +1,25 @@
 // Content-addressed registry of compiled power models — the daemon's cache.
 //
-// The registry is a read-mostly shared structure: the query path looks a
-// ModelId up millions of times; admission (first build of a unique
-// netlist+options) is rare. The split follows that shape:
+// One mutex guards one hash map keyed by ModelId::key. A slot holds either
+// an admitted model or a build still in flight; a vector of pointers into
+// the admitted slots keeps admission order for save() and entries(). The
+// traffic this serves is a few hundred lookups per build, each in front of
+// a millisecond-scale evaluation, so an uncontended lock plus one hash
+// probe is all the read path needs.
 //
-//  * Lookups are lock-free. The index — a minimal perfect hash over the
-//    admitted primary keys plus a slot-indexed entry table — is an
-//    immutable snapshot published through one std::atomic pointer; a reader
-//    does an acquire load, two MPH array reads, and a key compare. No
-//    mutex, no reference counting, no retries.
-//  * Admission takes a mutex, appends the entry to a std::deque (stable
-//    addresses; readers of the old snapshot are never invalidated), rebuilds
-//    the MPH index offline, and publishes the new snapshot with a release
-//    store. Retired snapshots go to a graveyard freed only when the
-//    registry dies: admissions are rare and an index is a few words per
-//    model, so leaking superseded snapshots until shutdown is cheaper and
-//    simpler than hazard pointers or epochs. (A registry serving millions
-//    of queries admits what fits in memory anyway — thousands of models —
-//    so the graveyard stays kilobytes.)
+// Build deduplication lives here too. get_or_build() is the one entry for
+// "the model for this id, constructing it if nobody has": the first caller
+// for an id runs the build on its own thread, later callers for the same id
+// wait on a shared future, and a clean (kOk) result is admitted before any
+// waiter wakes. A degraded or failed result reaches every waiter and is
+// then forgotten, so the next request builds again. lookup() — the eval and
+// trace path — sees an in-flight id as a miss.
 //
-// Collision safety: the 64-bit primary key indexes the MPH; the independent
-// 64-bit check hash is compared on every hit. Two distinct contents
-// colliding on the primary key is detected (typed error) instead of
-// silently serving the wrong macro's model; matching on both halves by
-// accident requires a 128-bit collision.
+// Collision safety: the 64-bit primary key indexes the map; the independent
+// 64-bit check hash is compared on every hit, admit and join of an in-flight
+// build. Two distinct contents colliding on the primary key is detected
+// (typed error) instead of silently serving the wrong macro's model;
+// matching on both halves by accident requires a 128-bit collision.
 //
 // Persistence: save() writes one serialize-v2 model file per entry (each
 // carrying its own CRC trailer) plus a CRC-tailed MANIFEST, all via
@@ -33,16 +29,16 @@
 // boot.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <deque>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "power/power_model.hpp"
-#include "serve/mph.hpp"
 #include "serve/service.hpp"
 
 namespace cfpm::serve {
@@ -57,22 +53,33 @@ class Registry {
   };
 
   Registry() = default;
-  ~Registry();
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Lock-free: the model admitted under `id`, or nullptr when absent.
-  /// Throws cfpm::Error when the primary key is admitted but the check
-  /// hash differs (64-bit content-hash collision — serving would return
-  /// the wrong model). Counts `registry.lookup.hit` / `registry.lookup.miss`.
+  /// The model admitted under `id`, or nullptr when absent or still being
+  /// built. Throws cfpm::Error when the primary key is present but the
+  /// check hash differs (64-bit content-hash collision — serving would
+  /// return the wrong model). Counts `serve.cache.hit` / `serve.cache.miss`.
   std::shared_ptr<const power::PowerModel> lookup(
       const service::ModelId& id) const;
 
-  /// Admits a model and republishes the index. Idempotent: re-admitting an
-  /// id already present returns false and changes nothing. Throws
-  /// cfpm::Error on a primary-key collision (same key, different check) and
-  /// cfpm::ContractError on a null model.
+  /// The model for `id`: a hit returns a reply with cache_hit set and no
+  /// construction. On a miss the first caller runs `build` on its own
+  /// thread; callers arriving while it runs wait for it and receive the
+  /// same reply or exception. A kOk reply is admitted (`circuit` is its
+  /// display name) before any waiter wakes; anything else is returned but
+  /// not kept. Counts one `serve.cache.hit` or `serve.cache.miss` per call,
+  /// before any build or wait. Throws cfpm::Error on a primary-key
+  /// collision.
+  service::BuildReply get_or_build(
+      const service::ModelId& id, const std::string& circuit,
+      const std::function<service::BuildReply()>& build);
+
+  /// Admits a model. Idempotent: re-admitting an id already present returns
+  /// false and changes nothing. Throws cfpm::Error on a primary-key
+  /// collision (same key, different check) and cfpm::ContractError on a
+  /// null model.
   bool admit(Entry entry);
 
   std::size_t size() const;
@@ -96,18 +103,22 @@ class Registry {
   std::size_t load(const std::string& dir);
 
  private:
-  struct Index {
-    Mph mph;
-    std::vector<const Entry*> slots;  // slot-indexed, same order as mph
+  struct Slot {
+    Entry entry;  ///< entry.model stays null while the build is in flight
+    std::shared_future<service::BuildReply> pending;  ///< in flight only
   };
 
-  /// Rebuilds and publishes the index from entries_. Caller holds mutex_.
-  void publish_locked();
+  /// The slot for id.key, or nullptr. Throws on a check-hash mismatch.
+  /// Caller holds mutex_.
+  const Slot* find_locked(const service::ModelId& id) const;
+  /// Drops the slot of a build of `id` that ended without admission.
+  void forget(const service::ModelId& id);
 
-  mutable std::mutex mutex_;                   // admission path only
-  std::deque<Entry> entries_;                  // stable addresses
-  std::atomic<const Index*> index_{nullptr};   // lock-free read path
-  std::vector<std::unique_ptr<const Index>> graveyard_;  // retired snapshots
+  mutable std::mutex mutex_;
+  std::unordered_map<std::uint64_t, Slot> slots_;
+  // Admitted entries in admission order. Map nodes never move, and an
+  // admitted slot is never erased, so these pointers stay valid.
+  std::vector<const Entry*> order_;
 };
 
 }  // namespace cfpm::serve

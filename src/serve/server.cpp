@@ -24,14 +24,6 @@ const metrics::Counter& c_requests() {
   static const metrics::Counter c("serve.request.count");
   return c;
 }
-const metrics::Counter& c_cache_hit() {
-  static const metrics::Counter c("serve.cache.hit");
-  return c;
-}
-const metrics::Counter& c_cache_miss() {
-  static const metrics::Counter c("serve.cache.miss");
-  return c;
-}
 const metrics::Counter& c_builds() {
   static const metrics::Counter c("serve.build.count");
   return c;
@@ -41,12 +33,23 @@ std::uint64_t micros(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e6);
 }
 
+/// Writes the exception in flight to `fd` as a typed error frame; false
+/// when that write fails too.
+bool send_error(int fd) noexcept {
+  try {
+    wire::write_frame(
+        fd, wire::MsgType::kError,
+        wire::encode_error(service::classify(std::current_exception())));
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)),
-      eval_pool_(options_.eval_threads),
-      build_pool_(options_.build_pool_threads) {
+    : options_(std::move(options)), eval_pool_(options_.eval_threads) {
   if (options_.socket_path.empty()) {
     throw ContractError("Server: socket_path must not be empty");
   }
@@ -61,10 +64,15 @@ Server::~Server() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
+Server::Connection::~Connection() {
+  if (thread.joinable()) thread.join();
+  if (fd >= 0) ::close(fd);
+}
+
 void Server::log(const std::string& line) const {
   if (options_.log == nullptr) return;
-  // Connection threads and the build pool log concurrently; one process-wide
-  // mutex keeps lines whole (this is a cold path).
+  // Connection threads log concurrently; one process-wide mutex keeps lines
+  // whole (this is a cold path).
   static std::mutex log_mutex;
   std::lock_guard<std::mutex> lock(log_mutex);
   *options_.log << "cfpmd: " << line << "\n" << std::flush;
@@ -110,23 +118,14 @@ int Server::run() {
   accept_loop();
 
   // Drain: no new connections are possible. Shut the read side of every
-  // live connection so idle readers see EOF; a thread mid-request finishes
-  // it (and its reply write) before exiting.
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const auto& conn : connections_) {
-      if (!conn->finished.load(std::memory_order_acquire)) {
-        ::shutdown(conn->fd, SHUT_RD);
-      }
-    }
-  }
+  // connection so idle readers see EOF; a thread mid-request finishes it
+  // (and its reply write) before exiting. Destroying a Connection joins its
+  // thread and only then closes its descriptor.
   std::size_t drained = 0;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const auto& conn : connections_) {
-      if (conn->thread.joinable()) conn->thread.join();
-      ++drained;
-    }
+    for (const auto& conn : connections_) ::shutdown(conn->fd, SHUT_RD);
+    drained = connections_.size();
     connections_.clear();
   }
   log("drained " + std::to_string(drained) + " connection(s)");
@@ -168,18 +167,17 @@ void Server::accept_loop() {
     Connection* slot = conn.get();
     {
       std::lock_guard<std::mutex> lock(connections_mutex_);
-      // Reap finished threads so a long-lived daemon does not accumulate
-      // one zombie std::thread per past connection.
+      // Reap finished connections (join, then close) so a long-lived
+      // daemon does not accumulate one zombie std::thread per past one.
       std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
-        if (!c->finished.load(std::memory_order_acquire)) return false;
-        if (c->thread.joinable()) c->thread.join();
-        return true;
+        return c->finished.load(std::memory_order_acquire);
       });
       connections_.push_back(std::move(conn));
     }
     slot->thread = std::thread([this, slot] {
       handle_connection(slot->fd);
-      ::close(slot->fd);
+      // The peer must see EOF now, not when the descriptor is reaped.
+      ::shutdown(slot->fd, SHUT_RDWR);
       slot->finished.store(true, std::memory_order_release);
     });
   }
@@ -193,12 +191,7 @@ void Server::handle_connection(int fd) {
     } catch (...) {
       // Framing is broken (torn header, CRC mismatch, version skew): the
       // stream cannot be resynchronized, so report once and hang up.
-      try {
-        wire::write_frame(fd, wire::MsgType::kError,
-                          wire::encode_error(
-                              service::classify(std::current_exception())));
-      } catch (...) {
-      }
+      send_error(fd);
       return;
     }
     try {
@@ -208,13 +201,7 @@ void Server::handle_connection(int fd) {
     } catch (...) {
       // Request-level failure: the frame was well-formed, so the stream is
       // intact — send the typed payload and keep serving this connection.
-      try {
-        wire::write_frame(fd, wire::MsgType::kError,
-                          wire::encode_error(
-                              service::classify(std::current_exception())));
-      } catch (...) {
-        return;
-      }
+      if (!send_error(fd)) return;
     }
   }
 }
@@ -228,22 +215,17 @@ bool Server::handle_frame(int fd, const wire::Frame& frame) {
                         wire::encode_build_reply(reply));
       return true;
     }
-    case wire::MsgType::kEvalRequest: {
-      static const metrics::Histogram h_eval("serve.eval.latency_us");
-      Timer timer;
-      const service::EvalReply reply = handle_eval(frame);
-      h_eval.observe(micros(timer.seconds()));
-      wire::write_frame(fd, wire::MsgType::kEvalReply,
-                        wire::encode_eval_reply(reply));
-      return true;
-    }
+    case wire::MsgType::kEvalRequest:
     case wire::MsgType::kTraceRequest: {
       static const metrics::Histogram h_eval("serve.eval.latency_us");
+      const bool trace = frame.type == wire::MsgType::kTraceRequest;
       Timer timer;
-      const service::EvalReply reply = handle_trace(frame);
+      const service::EvalReply reply =
+          trace ? handle_trace(frame) : handle_eval(frame);
       h_eval.observe(micros(timer.seconds()));
-      wire::write_frame(fd, wire::MsgType::kTraceReply,
-                        wire::encode_eval_reply(reply));
+      wire::write_frame(
+          fd, trace ? wire::MsgType::kTraceReply : wire::MsgType::kEvalReply,
+          wire::encode_eval_reply(reply));
       return true;
     }
     case wire::MsgType::kChipRequest: {
@@ -291,171 +273,53 @@ service::BuildReply Server::handle_build(wire::Frame frame) {
 service::BuildReply Server::build_model(service::BuildRequest request) {
   const service::ModelId id = service::model_id(request.netlist,
                                                 request.options);
-
-  // Fast path: lock-free registry probe. A hit performs zero construction
-  // work — that is the asserted contract (`serve.cache.hit` rises,
-  // `serve.build.count` does not).
-  if (auto model = registry_.lookup(id)) {
-    c_cache_hit().add();
-    service::BuildReply reply;
-    reply.id = id;
-    reply.cache_hit = true;
-    if (const auto* add =
-            dynamic_cast<const power::AddPowerModel*>(model.get())) {
-      reply.model_nodes = add->size();
-    }
-    reply.model = std::move(model);
-    return reply;
-  }
-  c_cache_miss().add();
-
-  // Miss: join or create the deduplicated build job for this id, so N
-  // concurrent first-requesters cost one construction.
-  std::shared_ptr<BuildJob> job;
-  bool creator = false;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto [it, inserted] =
-        jobs_.try_emplace(id.key, std::make_shared<BuildJob>());
-    job = it->second;
-    creator = inserted;
-    if (creator) {
-      // The build may have completed — admission, then job erasure —
-      // between our lock-free registry miss and taking jobs_mutex_.
-      // Admission strictly precedes erasure, so a second probe under the
-      // lock is authoritative: a hit here means a duplicate construction
-      // was about to start.
-      if (auto model = registry_.lookup(id)) {
-        jobs_.erase(id.key);
-        c_cache_hit().add();
-        service::BuildReply reply;
-        reply.id = id;
-        reply.cache_hit = true;
-        if (const auto* add =
-                dynamic_cast<const power::AddPowerModel*>(model.get())) {
-          reply.model_nodes = add->size();
-        }
-        reply.model = std::move(model);
-        return reply;
-      }
-    }
-  }
-  if (creator) {
-    static const metrics::Histogram h_queue("serve.queue.wait_us");
-    static const metrics::Histogram h_build("serve.build.latency_us");
-    Timer queued;
-    // ThreadPool::post swallows an exception that escapes the task wrapper
-    // itself (an injected `threadpool.task` fault fires before the closure
-    // runs). The job record must complete anyway — a waiter with no
-    // completion is a deadlock — so a guard riding in the closure's
-    // captures finishes the job with a typed error if the closure is
-    // destroyed without ever executing.
-    struct DropGuard {
-      Server* server;
-      std::shared_ptr<BuildJob> job;
-      std::uint64_t key;
-      DropGuard(Server* server, std::shared_ptr<BuildJob> job,
-                std::uint64_t key)
-          : server(server), job(std::move(job)), key(key) {}
-      // Non-copyable: a copied guard would fire once per copy, and a guard
-      // constructed from a temporary fires at end of full expression —
-      // completing the job with the drop error while the build is still
-      // running (which silently disables build deduplication).
-      DropGuard(const DropGuard&) = delete;
-      DropGuard& operator=(const DropGuard&) = delete;
-      ~DropGuard() {
-        bool completed_here = false;
-        {
-          std::lock_guard<std::mutex> job_lock(job->mutex);
-          if (!job->done) {
-            job->error = std::make_exception_ptr(Error(
-                "cfpmd: build task dropped before execution (injected "
-                "fault or pool teardown); retry the request"));
-            job->done = true;
-            completed_here = true;
-          }
-        }
-        if (!completed_here) return;
-        job->done_cv.notify_all();
-        std::lock_guard<std::mutex> lock(server->jobs_mutex_);
-        server->jobs_.erase(key);
-      }
-    };
-    auto guard = std::make_shared<DropGuard>(this, job, id.key);
-    build_pool_.post([this, job, guard, request = std::move(request), id,
-                      queued]() mutable {
-      h_queue.observe(micros(queued.seconds()));
-      service::BuildReply result;
-      std::exception_ptr error;
-      try {
+  // A hit performs zero construction work — that is the asserted contract
+  // (`serve.cache.hit` rises, `serve.build.count` does not).
+  bool built = false;
+  service::BuildReply reply =
+      registry_.get_or_build(id, request.netlist.name(), [&] {
+        built = true;
         CFPM_TRACE_SPAN("serve.build");
         CFPM_FAILPOINT("serve.build");
+        static const metrics::Histogram h_build("serve.build.latency_us");
         Timer building;
         c_builds().add();
-        result = service::build(request);
+        service::BuildReply result = service::build(request);
         h_build.observe(micros(building.seconds()));
-        if (result.status == service::StatusCode::kOk) {
-          Registry::Entry entry;
-          entry.id = id;
-          entry.model = result.model;
-          entry.circuit = request.netlist.name();
-          entry.nodes = result.model_nodes;
-          registry_.admit(std::move(entry));
-          log("admitted " + id.to_hex() + " (" + request.netlist.name() +
-              ", " + std::to_string(result.model_nodes) + " nodes)");
-        }
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> job_lock(job->mutex);
-        job->reply = std::move(result);
-        job->error = error;
-        job->done = true;
-      }
-      job->done_cv.notify_all();
-      std::lock_guard<std::mutex> lock(jobs_mutex_);
-      jobs_.erase(id.key);
-    });
+        return result;
+      });
+  if (built && reply.status == service::StatusCode::kOk) {
+    log("admitted " + id.to_hex() + " (" + request.netlist.name() + ", " +
+        std::to_string(reply.model_nodes) + " nodes)");
   }
-  std::unique_lock<std::mutex> job_lock(job->mutex);
-  job->done_cv.wait(job_lock, [&] { return job->done; });
-  if (job->error) std::rethrow_exception(job->error);
-  return job->reply;
+  return reply;
 }
 
 std::shared_ptr<const power::PowerModel> Server::resolve(
-    const service::ModelId& id, bool& cache_hit) {
+    const service::ModelId& id) {
   auto model = registry_.lookup(id);
   if (!model) {
-    c_cache_miss().add();
     throw Error("cfpmd: model " + id.to_hex() +
                 " is not admitted (issue a build request first)");
   }
-  c_cache_hit().add();
-  cache_hit = true;
   return model;
 }
 
 service::EvalReply Server::handle_eval(const wire::Frame& frame) {
   CFPM_TRACE_SPAN("serve.eval_request");
   const wire::EvalQuery query = wire::decode_eval_query(frame.payload);
-  bool cache_hit = false;
-  const auto model = resolve(query.id, cache_hit);
-  service::EvalReply reply = service::evaluate(*model, query.request,
-                                               &eval_pool_);
-  reply.cache_hit = cache_hit;
+  service::EvalReply reply = service::evaluate(*resolve(query.id),
+                                               query.request, &eval_pool_);
+  reply.cache_hit = true;
   return reply;
 }
 
 service::EvalReply Server::handle_trace(const wire::Frame& frame) {
   CFPM_TRACE_SPAN("serve.trace_request");
   const wire::TraceQuery query = wire::decode_trace_query(frame.payload);
-  bool cache_hit = false;
-  const auto model = resolve(query.id, cache_hit);
   service::EvalReply reply =
-      service::evaluate_trace(*model, query.trace, &eval_pool_);
-  reply.cache_hit = cache_hit;
+      service::evaluate_trace(*resolve(query.id), query.trace, &eval_pool_);
+  reply.cache_hit = true;
   return reply;
 }
 
@@ -476,13 +340,9 @@ service::ChipReply Server::handle_chip(const wire::Frame& frame) {
     br.options.max_nodes = request.max_nodes;
     br.options.degrade = request.degrade;
     br.options.deadline_ms = request.deadline_ms;
-    service::BuildReply reply = build_model(std::move(br));
-    chip::SourcedModel out;
-    out.model = reply.model;
-    out.build_info = reply.build_info;
-    out.nodes = reply.model_nodes;
-    out.cache_hit = reply.cache_hit;
-    return out;
+    const service::BuildReply reply = build_model(std::move(br));
+    return chip::SourcedModel{reply.model, reply.build_info,
+                              reply.model_nodes, reply.cache_hit};
   };
   return service::evaluate_chip(request, source, &eval_pool_);
 }

@@ -5,14 +5,14 @@
 // answers wire-protocol queries over a Unix-domain socket:
 //
 //   build  -> hash the netlist+options; registry hit returns immediately
-//             (serve.cache.hit, zero construction work), miss enqueues one
-//             deduplicated async build on the build pool (concurrent
-//             requesters of the same id wait on the same job) under the
-//             request's governor deadline, with the §9 degradation ladder
-//             as fallback. Clean builds are admitted to the registry;
-//             degraded results are served to their requester but never
-//             cached (a ladder outcome depends on wall clock, so caching
-//             one would break the bit-identical replay guarantee).
+//             (serve.cache.hit, zero construction work), miss builds on the
+//             requesting connection's thread (concurrent requesters of the
+//             same id wait on that one build, see Registry::get_or_build)
+//             under the request's governor deadline, with the §9
+//             degradation ladder as fallback. Clean builds are admitted to
+//             the registry; degraded results are served to their requester
+//             but never cached (a ladder outcome depends on wall clock, so
+//             caching one would break the bit-identical replay guarantee).
 //   eval   -> (sp, st) workload query against an admitted model — the exact
 //             one-shot-CLI recipe (seeded Markov generator + one batched
 //             estimate_trace pass), so daemon replies are bit-identical to
@@ -27,9 +27,9 @@
 //   stats / ping / shutdown — introspection and lifecycle.
 //
 // Threading: one thread per connection (requests on a connection are
-// processed in order; concurrency comes from concurrent connections), a
-// shared eval pool for trace sharding, and a build pool fed through
-// ThreadPool::post. Registry lookups on the query path are lock-free.
+// processed in order; concurrency comes from concurrent connections) and a
+// shared eval pool for trace sharding. Builds run on the connection thread
+// that asked for them; the registry's one mutex deduplicates them.
 //
 // Shutdown: request_shutdown() is async-signal-safe (an atomic flag plus
 // shutdown(2) on the listening socket to wake accept). The drain sequence
@@ -45,14 +45,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/registry.hpp"
@@ -71,8 +69,6 @@ struct ServerOptions {
   std::string persist_dir;
   /// Lanes of the shared eval pool (estimate_trace sharding). 0 = hardware.
   std::size_t eval_threads = 1;
-  /// Lanes of the build pool (async cache-miss builds). 0 = hardware.
-  std::size_t build_pool_threads = 1;
   /// Governor deadline applied to build requests that carry none (0 = no
   /// default deadline).
   std::size_t default_deadline_ms = 0;
@@ -103,23 +99,17 @@ class Server {
   /// exit code.
   void request_shutdown(bool from_signal) noexcept;
 
-  const Registry& registry() const { return registry_; }
-  const ServerOptions& options() const { return options_; }
 
  private:
-  /// Deduplicated in-flight construction of one model id.
-  struct BuildJob {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    service::BuildReply reply;
-    std::exception_ptr error;
-  };
-
+  /// One accepted socket and the thread serving it. The thread shuts the
+  /// socket down and sets `finished` but never closes `fd`; whoever
+  /// destroys the Connection joins the thread and then closes it, so no
+  /// shutdown(2) can reach a recycled descriptor.
   struct Connection {
     int fd = -1;
     std::thread thread;
     std::atomic<bool> finished{false};
+    ~Connection();
   };
 
   void accept_loop();
@@ -128,29 +118,25 @@ class Server {
   /// the server to shut down (reply already written).
   bool handle_frame(int fd, const wire::Frame& frame);
   service::BuildReply handle_build(wire::Frame frame);
-  /// The registry-backed build path behind handle_build: probe, dedup via
-  /// BuildJob, async construction, admission of clean results. handle_chip
-  /// calls it once per macro variant, so chip requests populate (and are
-  /// served from) the same cache as plain build requests.
+  /// The registry-backed build path behind handle_build: one
+  /// Registry::get_or_build call (hit, or a deduplicated build on this
+  /// thread whose clean result is admitted). handle_chip calls it once per
+  /// macro variant, so chip requests populate (and are served from) the
+  /// same cache as plain build requests.
   service::BuildReply build_model(service::BuildRequest request);
   service::EvalReply handle_eval(const wire::Frame& frame);
   service::EvalReply handle_trace(const wire::Frame& frame);
   service::ChipReply handle_chip(const wire::Frame& frame);
   wire::StatsReply handle_stats() const;
-  /// Looks `id` up, throwing a typed Error miss message shared by eval and
-  /// trace paths.
-  std::shared_ptr<const power::PowerModel> resolve(const service::ModelId& id,
-                                                   bool& cache_hit);
+  /// The admitted model for `id`; a miss throws the typed "not admitted"
+  /// Error shared by the eval and trace paths.
+  std::shared_ptr<const power::PowerModel> resolve(const service::ModelId& id);
   void persist() noexcept;
   void log(const std::string& line) const;
 
   ServerOptions options_;
   Registry registry_;
   ThreadPool eval_pool_;
-  ThreadPool build_pool_;
-
-  std::mutex jobs_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<BuildJob>> jobs_;
 
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;

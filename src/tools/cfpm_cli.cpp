@@ -139,9 +139,11 @@ int usage() {
       "check and asserts deterministic recovery: injected faults may fail\n"
       "typed, but a clean rerun must pass and values must never corrupt.\n"
       "serve runs the long-lived model server: --threads N sets the eval\n"
-      "pool lanes and --build-threads N the build-pool lanes (0 = all\n"
-      "hardware threads). Cached build replies perform zero construction\n"
-      "work and eval replies are bit-identical to the one-shot CLI. query\n"
+      "pool lanes (0 = all hardware threads). Each build runs on the\n"
+      "thread of the connection that asked for it, and concurrent requests\n"
+      "for one model share one build; --build-threads N is accepted and\n"
+      "ignored. Cached build replies perform zero construction work and\n"
+      "eval replies are bit-identical to the one-shot CLI. query\n"
       "talks to a running daemon; eval/trace accept the circuit spec (the\n"
       "content id is computed locally) or the 32-hex model id a build\n"
       "printed.\n"
@@ -177,7 +179,6 @@ struct Args {
   std::size_t vectors = 10000;
   double vdd = 3.3;
   std::size_t threads = 1;        // 0 = hardware concurrency
-  std::size_t build_pool_threads = 1;  // serve build-pool lanes; 0 = hardware
   bool compiled = false;
   bool max_nodes_explicit = false;  // -m was given (chip defaults differ)
 
@@ -346,7 +347,8 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--threads") {
       ok = number(a.threads);
     } else if (flag == "--build-threads") {
-      ok = number(a.build_pool_threads);
+      std::size_t ignored = 0;  // parsed for old scripts, then ignored
+      ok = number(ignored);
     } else if (flag == "--compiled") {
       ok = boolean(a.compiled, true);
     } else if (flag == "--deadline-ms") {
@@ -879,7 +881,6 @@ int cmd_serve(const Args& a) {
   options.socket_path = a.socket;
   options.persist_dir = a.persist_dir;
   options.eval_threads = a.threads;
-  options.build_pool_threads = a.build_pool_threads;
   options.default_deadline_ms = a.deadline_ms.value_or(0);
   options.log = &std::cerr;
   serve::Server server(std::move(options));

@@ -1,14 +1,15 @@
-// Registry contracts: lock-free lookups stay correct while admissions
-// republish the index, collisions are rejected instead of served, and the
-// persisted snapshot warm-starts bit-identically — or not at all when
-// corrupt. The concurrency tests run under TSan in CI (suite name matches
-// the tsan job's -R filter).
+// Registry contracts: lookups stay correct while admissions land, builds
+// are deduplicated and only clean ones are kept, collisions are rejected
+// instead of served, and the persisted snapshot warm-starts bit-identically
+// — or not at all when corrupt. The concurrency tests run under TSan in CI
+// (suite name matches the tsan job's -R filter).
 #include "serve/registry.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -24,14 +25,10 @@
 namespace cfpm::serve {
 namespace {
 
-std::shared_ptr<const power::PowerModel> constant_model(double value) {
-  return std::make_shared<power::ConstantModel>(value, 4);
-}
-
 Registry::Entry entry_of(std::uint64_t key, double value) {
   Registry::Entry e;
   e.id = {key, key ^ 0x5a5a5a5a5a5a5a5aull};
-  e.model = constant_model(value);
+  e.model = std::make_shared<power::ConstantModel>(value, 4);
   e.circuit = "m";
   e.circuit += std::to_string(key);
   return e;
@@ -46,6 +43,19 @@ std::string fresh_dir(const char* tag) {
           .string();
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+/// Builds c17 through the service facade and admits it to `registry`.
+service::BuildReply admit_c17(
+    Registry& registry,
+    std::size_t max_nodes = service::BuildOptions{}.max_nodes) {
+  service::BuildRequest request;
+  request.netlist = netlist::gen::c17();
+  request.options.max_nodes = max_nodes;
+  service::BuildReply built = service::build(request);
+  EXPECT_TRUE(
+      registry.admit({built.id, built.model, "c17", built.model_nodes}));
+  return built;
 }
 
 TEST(Registry, AdmitThenLookup) {
@@ -88,10 +98,81 @@ TEST(Registry, NullModelRejected) {
   EXPECT_THROW(registry.admit(std::move(e)), ContractError);
 }
 
+service::BuildReply reply_of(const Registry::Entry& e,
+                             service::StatusCode status) {
+  service::BuildReply reply;
+  reply.status = status;
+  reply.model = e.model;
+  return reply;
+}
+
+TEST(Registry, GetOrBuildKeepsOnlyCleanBuilds) {
+  Registry registry;
+  const Registry::Entry e = entry_of(9, 90.0);
+  int builds = 0;
+  const auto build_as = [&](service::StatusCode status) {
+    return [&, status] {
+      ++builds;
+      if (status == service::StatusCode::kError) throw ResourceError("x");
+      return reply_of(e, status);
+    };
+  };
+
+  EXPECT_THROW(registry.get_or_build(e.id, "m9",
+                                     build_as(service::StatusCode::kError)),
+               ResourceError);
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_EQ(registry.get_or_build(e.id, "m9",
+                                  build_as(service::StatusCode::kDegraded))
+                .status,
+            service::StatusCode::kDegraded);
+  EXPECT_EQ(registry.size(), 0u);
+
+  const service::BuildReply clean = registry.get_or_build(e.id, "m9", [&] {
+    // While in flight the id is a miss for lookup(), and a colliding id is
+    // refused rather than handed this build's result.
+    EXPECT_EQ(registry.lookup(e.id), nullptr);
+    service::ModelId collider = e.id;
+    collider.check ^= 1;
+    EXPECT_THROW(registry.get_or_build(collider, "x", build_as({})), Error);
+    return build_as(service::StatusCode::kOk)();
+  });
+  EXPECT_FALSE(clean.cache_hit);
+  ASSERT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.entries()[0].circuit, "m9");
+
+  const service::BuildReply hit =
+      registry.get_or_build(e.id, "m9", build_as(service::StatusCode::kOk));
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.model, e.model);
+  EXPECT_EQ(builds, 3);
+}
+
+// Concurrent first requesters of one id share one build and one reply.
+TEST(RegistryConcurrency, ConcurrentGetOrBuildRunsOneBuild) {
+  Registry registry;
+  const Registry::Entry e = entry_of(5, 50.0);
+  std::atomic<int> builds{0};
+  std::vector<service::BuildReply> replies(4);
+  std::vector<std::thread> callers;
+  for (service::BuildReply& reply : replies) {
+    callers.emplace_back([&] {
+      reply = registry.get_or_build(e.id, "m5", [&] {
+        builds.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return reply_of(e, service::StatusCode::kOk);
+      });
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(registry.size(), 1u);
+  for (const service::BuildReply& r : replies) EXPECT_EQ(r.model, e.model);
+}
+
 // The TSan-critical test: readers hammer lookups (hits and misses) while a
-// writer admits entries one by one, republishing the index each time. Every
-// read must see either a fully published entry or a miss — never a torn
-// index — and an entry observed once must stay visible.
+// writer admits entries one by one. Every read must see either a fully
+// admitted entry or a miss, and an entry observed once must stay visible.
 TEST(RegistryConcurrency, LookupsRaceAdmissions) {
   Registry registry;
   constexpr std::uint64_t kEntries = 64;
@@ -160,18 +241,8 @@ TEST(RegistryConcurrency, ConcurrentAdmittersSerialize) {
 
 TEST(RegistryPersistence, WarmRestartRoundTrip) {
   const std::string dir = fresh_dir("warm");
-  service::BuildRequest request;
-  request.netlist = netlist::gen::c17();
-  request.options.max_nodes = 0;
-  const service::BuildReply built = service::build(request);
-
   Registry registry;
-  Registry::Entry e;
-  e.id = built.id;
-  e.model = built.model;
-  e.circuit = "c17";
-  e.nodes = built.model_nodes;
-  ASSERT_TRUE(registry.admit(std::move(e)));
+  const service::BuildReply built = admit_c17(registry, /*max_nodes=*/0);
   registry.save(dir);
 
   Registry reloaded;
@@ -197,16 +268,8 @@ TEST(RegistryPersistence, MissingDirectoryIsAColdStart) {
 
 TEST(RegistryPersistence, CorruptModelFileIsSkippedNotServed) {
   const std::string dir = fresh_dir("corrupt-model");
-  service::BuildRequest request;
-  request.netlist = netlist::gen::c17();
-  const service::BuildReply built = service::build(request);
   Registry registry;
-  Registry::Entry e;
-  e.id = built.id;
-  e.model = built.model;
-  e.circuit = "c17";
-  e.nodes = built.model_nodes;
-  ASSERT_TRUE(registry.admit(std::move(e)));
+  const service::BuildReply built = admit_c17(registry);
   registry.save(dir);
 
   // Flip bytes in the middle of the model file; its CRC trailer must catch
@@ -228,16 +291,8 @@ TEST(RegistryPersistence, CorruptModelFileIsSkippedNotServed) {
 
 TEST(RegistryPersistence, CorruptManifestRefusesToLoad) {
   const std::string dir = fresh_dir("corrupt-manifest");
-  service::BuildRequest request;
-  request.netlist = netlist::gen::c17();
-  const service::BuildReply built = service::build(request);
   Registry registry;
-  Registry::Entry e;
-  e.id = built.id;
-  e.model = built.model;
-  e.circuit = "c17";
-  e.nodes = built.model_nodes;
-  ASSERT_TRUE(registry.admit(std::move(e)));
+  const service::BuildReply built = admit_c17(registry);
   registry.save(dir);
 
   // Corrupting the body must trip the manifest CRC.
