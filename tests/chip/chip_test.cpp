@@ -11,6 +11,10 @@
 #include <vector>
 
 #include "chip/evaluator.hpp"
+#include "netlist/generators.hpp"
+#include "power/add_model.hpp"
+#include "power/baselines.hpp"
+#include "power/residual.hpp"
 #include "serve/service.hpp"
 #include "stats/markov.hpp"
 #include "support/error.hpp"
@@ -186,6 +190,92 @@ TEST(ChipEvaluator, ShardCountNeverChangesTheBits) {
     ASSERT_EQ(sharded.per_instance_ff.size(), serial.per_instance_ff.size());
     for (std::size_t i = 0; i < serial.per_instance_ff.size(); ++i) {
       EXPECT_EQ(sharded.per_instance_ff[i], serial.per_instance_ff[i]);
+    }
+  }
+}
+
+/// The evaluator's documented association, spelled out on the
+/// per-transition reference: per-instance sums t-ascending within each
+/// kTraceChunk chunk and then in chunk order, the total as the left-fold of
+/// those in instance order, and the peak as the max of the instance-order
+/// cycle sums.
+ChipTraceResult reference_fold(const power::RtlDesign& design,
+                               const sim::InputSequence& trace) {
+  ChipTraceResult r;
+  r.transitions = trace.num_transitions();
+  r.per_instance_ff.assign(design.num_instances(), 0.0);
+  std::vector<std::uint8_t> xi(trace.num_inputs()), xf(trace.num_inputs());
+  for (std::size_t begin = 0; begin < r.transitions; begin += kTraceChunk) {
+    const std::size_t end = std::min(begin + kTraceChunk, r.transitions);
+    std::vector<double> chunk(design.num_instances(), 0.0);
+    for (std::size_t t = begin; t < end; ++t) {
+      trace.vector_at(t, xi);
+      trace.vector_at(t + 1, xf);
+      const std::vector<double> b = design.estimate_breakdown_ff(xi, xf);
+      double cycle = 0.0;
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        chunk[i] += b[i];
+        cycle += b[i];
+      }
+      r.peak_ff = std::max(r.peak_ff, cycle);
+    }
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      r.per_instance_ff[i] += chunk[i];
+    }
+  }
+  for (const double v : r.per_instance_ff) r.total_ff += v;
+  return r;
+}
+
+/// Every model kind on one bus, with overlapping, aliased and scattered
+/// input maps: ADD (twice, one shared model), Con, ConBound, Lin with
+/// negative coefficients, and ADD+residual whose clamp at 0 fires.
+power::RtlDesign mixed_design() {
+  const netlist::GateLibrary lib = netlist::GateLibrary::standard();
+  power::AddModelOptions opt;
+  opt.max_nodes = 0;
+  auto adder = std::make_shared<power::AddPowerModel>(power::AddPowerModel::build(
+      netlist::gen::ripple_carry_adder(2), lib, opt));  // 5 inputs
+  auto cmp = std::make_shared<power::AddPowerModel>(power::AddPowerModel::build(
+      netlist::gen::magnitude_comparator(2), lib, opt));  // 4 inputs
+  power::RtlDesign d;
+  d.add_instance("add0", adder, {0, 1, 2, 3, 4});
+  d.add_instance("con", std::make_shared<power::ConstantModel>(12.5, 4),
+                 {3, 4, 5, 6});
+  d.add_instance("lin",
+                 std::make_shared<power::LinearModel>(
+                     std::vector<double>{1.25, 3.0, -2.5, 0.75, 4.0, -1.0}),
+                 {5, 6, 7, 8, 9});
+  d.add_instance("res",
+                 std::make_shared<power::ResidualCalibratedModel>(
+                     cmp, power::LinearModel({-9.0, 2.0, -6.5, 1.5, -4.0})),
+                 {8, 9, 10, 11});
+  d.add_instance("bound", std::make_shared<power::ConstantBoundModel>(40.0, 3),
+                 {11, 0, 6});
+  d.add_instance("add1", adder, {11, 2, 7, 0, 9});
+  return d;
+}
+
+TEST(ChipEvaluator, MatchesPerTransitionReferenceFold) {
+  const Chip& c = demo_chip();
+  const power::RtlDesign mixed = mixed_design();
+  ThreadPool pool(3);
+  for (const power::RtlDesign* d :
+       {&c.avg_design(), &c.bound_design(), &mixed}) {
+    stats::MarkovSequenceGenerator gen({0.5, 0.4}, 0x5eed);
+    const sim::InputSequence trace =
+        gen.generate(d->bus_width(), 3 * kTraceChunk + 17);
+    const ChipTraceResult want = reference_fold(*d, trace);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const ChipTraceResult got = evaluate_trace(*d, trace, p);
+      EXPECT_EQ(got.transitions, want.transitions);
+      EXPECT_EQ(got.total_ff, want.total_ff);
+      EXPECT_EQ(got.peak_ff, want.peak_ff);
+      ASSERT_EQ(got.per_instance_ff.size(), want.per_instance_ff.size());
+      for (std::size_t i = 0; i < want.per_instance_ff.size(); ++i) {
+        EXPECT_EQ(got.per_instance_ff[i], want.per_instance_ff[i])
+            << d->instance_name(i);
+      }
     }
   }
 }
