@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "chip/evaluator.hpp"
 #include "netlist/generators.hpp"
 #include "power/add_model.hpp"
 #include "power/rtl.hpp"
@@ -53,33 +54,19 @@ int main() {
   const auto trace = gen.generate(design.bus_width(), 2000);
   const power::SupplyConfig supply{3.3};
 
-  std::vector<std::uint8_t> xi(design.bus_width()), xf(design.bus_width());
-  double total = 0.0, peak = 0.0;
-  std::vector<double> per_instance(design.num_instances(), 0.0);
-  for (std::size_t t = 0; t + 1 < trace.length(); ++t) {
-    trace.vector_at(t, xi);
-    trace.vector_at(t + 1, xf);
-    const auto breakdown = design.estimate_breakdown_ff(xi, xf);
-    double cycle = 0.0;
-    for (std::size_t i = 0; i < breakdown.size(); ++i) {
-      per_instance[i] += breakdown[i];
-      cycle += breakdown[i];
-    }
-    total += cycle;
-    peak = std::max(peak, cycle);
-  }
-  const double cycles = static_cast<double>(trace.num_transitions());
+  const chip::ChipTraceResult r = chip::evaluate_trace(design, trace);
+  const double cycles = static_cast<double>(r.transitions);
 
   std::cout << std::fixed << std::setprecision(1);
-  std::cout << "average switched capacitance: " << total / cycles
-            << " fF/cycle (" << supply.power_uw(total / cycles, 10.0)
+  std::cout << "average switched capacitance: " << r.average_ff()
+            << " fF/cycle (" << supply.power_uw(r.average_ff(), 10.0)
             << " uW @ 100 MHz, 3.3 V)\n";
-  std::cout << "observed peak cycle:          " << peak << " fF\n\n";
+  std::cout << "observed peak cycle:          " << r.peak_ff << " fF\n\n";
   std::cout << "per-instance breakdown:\n";
-  for (std::size_t i = 0; i < per_instance.size(); ++i) {
+  for (std::size_t i = 0; i < r.per_instance_ff.size(); ++i) {
     std::cout << "  " << design.instance_name(i) << ": "
-              << per_instance[i] / cycles << " fF/cycle ("
-              << 100.0 * per_instance[i] / total << "% of total)\n";
+              << r.per_instance_ff[i] / cycles << " fF/cycle ("
+              << 100.0 * r.per_instance_ff[i] / r.total_ff << "% of total)\n";
   }
   return 0;
 }

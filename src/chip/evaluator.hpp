@@ -2,9 +2,17 @@
 //
 // The transition stream is split into fixed-width chunks whose boundaries
 // do not depend on the shard count; each chunk accumulates into its own
-// slot (per-instance partial totals + chunk peak) with per-shard scratch,
-// and slots are reduced in chunk order afterwards. Totals are therefore
-// bit-identical for any pool size (the PR 1/6 determinism discipline).
+// slot (per-instance partial totals + chunk peak), and slots are reduced in
+// chunk order afterwards. Totals are therefore bit-identical for any pool
+// size.
+//
+// Inside a chunk the instances are visited in order, each evaluated through
+// its model's block entry (PowerModel::estimate_block) with its input map,
+// so ADD macros run the compiled SIMD kernel. An instance's values are
+// added t-ascending into its slot total and, in instance order, into the
+// chunk's per-transition cycle sums, whose max is the chunk peak. That is
+// the association of the per-transition reference fold over
+// RtlDesign::estimate_breakdown_ff, bit for bit.
 //
 // The chip total is defined as the left-fold of the per-leaf totals in
 // leaf (DFS) order — the same association Chip::subtree_total uses — so

@@ -367,51 +367,36 @@ double AddPowerModel::estimate_ff(std::span<const std::uint8_t> xi,
   return function_.eval(assignment);
 }
 
-TraceEstimate AddPowerModel::estimate_trace(const sim::InputSequence& seq,
-                                            ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs_);
+void AddPowerModel::estimate_block(const sim::InputSequence& seq,
+                                   std::span<const std::size_t> inputs,
+                                   std::size_t t0, std::size_t m,
+                                   double* values,
+                                   std::vector<std::uint64_t>& scratch) const {
+  // The sequence's bit-packed streams ARE the word-transposed assignment
+  // blocks the packed evaluator consumes — transition t's initial state of
+  // input k is bit t of stream inputs[k] and its final state is bit t+1 —
+  // so the whole gather is two window64 reads per input per 64
+  // transitions, into the var-indexed layout (stride kPackedGroups).
+  // The caller's scratch holds the kernel's reach masks first and the
+  // gathered bits after them. It is sized for both up front, so
+  // eval_packed_wide never regrows it under the bits pointer.
+  constexpr std::size_t W = dd::CompiledDd::kPackedGroups;
   const dd::CompiledDd& compiled = *compiled_;
-  // Hoist the input -> diagram-variable mapping out of the hot loop.
-  std::vector<std::uint32_t> vi(num_inputs_), vf(num_inputs_);
-  for (std::uint32_t k = 0; k < num_inputs_; ++k) {
-    vi[k] = var_of_xi(k);
-    vf[k] = var_of_xf(k);
+  const std::size_t masks = compiled.sweep_groups() * compiled.num_nodes();
+  if (scratch.size() < masks + W * 2 * num_inputs_) {
+    scratch.resize(masks + W * 2 * num_inputs_);
   }
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [&](std::size_t begin, std::size_t end, double& total, double& peak) {
-        // The sequence's bit-packed streams ARE the word-transposed
-        // assignment blocks the packed evaluator consumes — transition t's
-        // initial state of input k is bit t of stream k and its final
-        // state is bit t+1 — so the whole gather is two window64 reads
-        // per input per 64 transitions. Blocks of kPackedGroups groups are
-        // fed to the SIMD-dispatched wide sweep; per-value results and the
-        // t-ascending accumulation below are bit-identical to the
-        // one-group path (kTraceChunk is a multiple of 64*kPackedGroups,
-        // so chunk boundaries never split a wide block unevenly between
-        // runs of different width).
-        constexpr std::size_t W = dd::CompiledDd::kPackedGroups;
-        static_assert(kTraceChunk % (64 * W) == 0,
-                      "chunk boundaries must not split a wide block");
-        std::vector<std::uint64_t> bits(W * 2 * num_inputs_);
-        std::vector<std::uint64_t> scratch;
-        double values[64 * W];
-        for (std::size_t base = begin; base < end; base += 64 * W) {
-          const std::size_t m = std::min<std::size_t>(64 * W, end - base);
-          const std::size_t groups = (m + 63) / 64;
-          for (std::uint32_t k = 0; k < num_inputs_; ++k) {
-            for (std::size_t w = 0; w < groups; ++w) {
-              bits[W * vi[k] + w] = seq.window64(k, base + 64 * w);
-              bits[W * vf[k] + w] = seq.window64(k, base + 64 * w + 1);
-            }
-          }
-          compiled.eval_packed_wide(bits.data(), m, values, scratch);
-          for (std::size_t t = 0; t < m; ++t) {
-            total += values[t];
-            peak = std::max(peak, values[t]);
-          }
-        }
-      });
+  std::uint64_t* bits = scratch.data() + masks;
+  const std::size_t groups = (m + 63) / 64;
+  for (std::uint32_t k = 0; k < num_inputs_; ++k) {
+    std::uint64_t* xi = bits + W * var_of_xi(k);
+    std::uint64_t* xf = bits + W * var_of_xf(k);
+    for (std::size_t w = 0; w < groups; ++w) {
+      xi[w] = seq.window64(inputs[k], t0 + 64 * w);
+      xf[w] = seq.window64(inputs[k], t0 + 64 * w + 1);
+    }
+  }
+  compiled.eval_packed_wide(bits, m, values, scratch);
 }
 
 std::vector<double> AddPowerModel::input_sensitivity_ff() const {

@@ -115,11 +115,12 @@ class AddPowerModel final : public PowerModel {
   std::size_t num_inputs() const override { return num_inputs_; }
   double worst_case_ff() const override { return function_.max_value(); }
 
-  /// Batch evaluation on the compiled flat-array snapshot of the ADD:
-  /// per-pattern values are bit-identical to estimate_ff, chunk order is
-  /// fixed, so the result matches the scalar path exactly for any pool.
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
+  /// Block evaluation on the compiled flat-array snapshot of the ADD:
+  /// per-pattern values are bit-identical to estimate_ff.
+  void estimate_block(const sim::InputSequence& seq,
+                      std::span<const std::size_t> inputs, std::size_t t0,
+                      std::size_t m, double* values,
+                      std::vector<std::uint64_t>& scratch) const override;
 
   // Model introspection --------------------------------------------------------
   /// The flattened evaluation snapshot (compiled once at construction;

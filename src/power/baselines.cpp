@@ -1,58 +1,48 @@
 #include "power/baselines.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/assert.hpp"
 #include "support/linear.hpp"
 
 namespace cfpm::power {
 
-// Constant estimators skip the sequence bits entirely but still accumulate
-// by repeated addition, so the result stays bit-identical to the generic
-// estimate_ff loop.
-TraceEstimate ConstantModel::estimate_trace(const sim::InputSequence& seq,
-                                            ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs_);
-  const double value = value_ff_;
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [value](std::size_t begin, std::size_t end, double& total, double& peak) {
-        for (std::size_t t = begin; t < end; ++t) total += value;
-        peak = std::max(0.0, value);
-      });
+void ConstantModel::estimate_block(const sim::InputSequence&,
+                                   std::span<const std::size_t>, std::size_t,
+                                   std::size_t m, double* values,
+                                   std::vector<std::uint64_t>&) const {
+  std::fill_n(values, m, value_ff_);
 }
 
-TraceEstimate ConstantBoundModel::estimate_trace(const sim::InputSequence& seq,
-                                                 ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs_);
-  const double value = bound_ff_;
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [value](std::size_t begin, std::size_t end, double& total, double& peak) {
-        for (std::size_t t = begin; t < end; ++t) total += value;
-        peak = std::max(0.0, value);
-      });
+void ConstantBoundModel::estimate_block(const sim::InputSequence&,
+                                        std::span<const std::size_t>,
+                                        std::size_t, std::size_t m,
+                                        double* values,
+                                        std::vector<std::uint64_t>&) const {
+  std::fill_n(values, m, bound_ff_);
 }
 
-TraceEstimate LinearModel::estimate_trace(const sim::InputSequence& seq,
-                                          ThreadPool* pool) const {
-  CFPM_REQUIRE(seq.num_inputs() == num_inputs());
-  const std::size_t n = num_inputs();
-  return reduce_trace(
-      seq.num_transitions(), pool,
-      [&](std::size_t begin, std::size_t end, double& total, double& peak) {
-        for (std::size_t t = begin; t < end; ++t) {
-          // Same coefficient-addition order as estimate_ff, so each
-          // per-transition value (and thus the chunk sum) is bit-identical
-          // to the scalar path.
-          double est = coeffs_[0];
-          for (std::size_t j = 0; j < n; ++j) {
-            if (seq.bit(j, t) != seq.bit(j, t + 1)) est += coeffs_[j + 1];
-          }
-          total += est;
-          peak = std::max(peak, est);
-        }
-      });
+void LinearModel::estimate_block(const sim::InputSequence& seq,
+                                 std::span<const std::size_t> inputs,
+                                 std::size_t t0, std::size_t m, double* values,
+                                 std::vector<std::uint64_t>&) const {
+  // Input-major, but each value still receives c0 and then its toggled
+  // coefficients in j order — the addition order of estimate_ff, so every
+  // value is bit-identical to the scalar path.
+  std::fill_n(values, m, coeffs_[0]);
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    const double c = coeffs_[j + 1];
+    for (std::size_t base = 0; base < m; base += 64) {
+      std::uint64_t toggles = seq.window64(inputs[j], t0 + base) ^
+                              seq.window64(inputs[j], t0 + base + 1);
+      if (m - base < 64) toggles &= (std::uint64_t{1} << (m - base)) - 1;
+      for (; toggles != 0; toggles &= toggles - 1) {
+        values[base + static_cast<std::size_t>(std::countr_zero(toggles))] +=
+            c;
+      }
+    }
+  }
 }
 
 LinearModel::LinearModel(std::vector<double> coeffs)

@@ -36,9 +36,11 @@ class ConstantModel final : public PowerModel {
   double worst_case_ff() const override { return value_ff_; }
   double value_ff() const { return value_ff_; }
 
-  /// Pattern-independent: chunks reduce without touching the sequence bits.
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
+  /// Pattern-independent: a fill, without touching the sequence bits.
+  void estimate_block(const sim::InputSequence& seq,
+                      std::span<const std::size_t> inputs, std::size_t t0,
+                      std::size_t m, double* values,
+                      std::vector<std::uint64_t>& scratch) const override;
 
  private:
   double value_ff_;
@@ -59,8 +61,10 @@ class ConstantBoundModel final : public PowerModel {
   std::size_t num_inputs() const override { return num_inputs_; }
   double worst_case_ff() const override { return bound_ff_; }
 
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
+  void estimate_block(const sim::InputSequence& seq,
+                      std::span<const std::size_t> inputs, std::size_t t0,
+                      std::size_t m, double* values,
+                      std::vector<std::uint64_t>& scratch) const override;
 
  private:
   double bound_ff_;
@@ -79,10 +83,12 @@ class LinearModel final : public PowerModel {
   double worst_case_ff() const override;
   std::span<const double> coefficients() const { return coeffs_; }
 
-  /// Batch path reading toggle bits straight off the packed sequence
-  /// (no per-transition vector materialization or virtual dispatch).
-  TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                               ThreadPool* pool = nullptr) const override;
+  /// Reads 64 toggle bits per input at a time straight off the packed
+  /// sequence (no per-transition vector materialization or dispatch).
+  void estimate_block(const sim::InputSequence& seq,
+                      std::span<const std::size_t> inputs, std::size_t t0,
+                      std::size_t m, double* values,
+                      std::vector<std::uint64_t>& scratch) const override;
 
  private:
   std::vector<double> coeffs_;

@@ -6,10 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "dd/compiled.hpp"
 #include "sim/sequence.hpp"
 #include "support/thread_pool.hpp"
 
@@ -51,6 +52,26 @@ class PowerModel {
 
   // ----- sequence-level evaluation (RTL simulation loop) -------------------
 
+  /// Most transitions one estimate_block call evaluates: one full wide
+  /// sweep of the compiled kernel.
+  static constexpr std::size_t kBlock = 64 * dd::CompiledDd::kPackedGroups;
+
+  /// The one trace-evaluation entry: writes the estimates of transitions
+  /// t0 .. t0+m of `seq` to values[0..m), where input k of the model is
+  /// stream inputs[k] of `seq`. Each value is bit-identical to estimate_ff
+  /// on the gathered transition. Preconditions, validated once per trace by
+  /// the callers (estimate_trace, chip::evaluate_trace) rather than per
+  /// block: inputs.size() == num_inputs(), every inputs[k] <
+  /// seq.num_inputs(), 1 <= m <= kBlock and t0 + m <= seq.num_transitions().
+  /// `scratch` belongs to the caller and is reused across calls on one
+  /// thread; once it has grown for the widest model it sees, no block
+  /// allocates. The default gathers bytes and loops estimate_ff; the
+  /// library models override it with word-parallel paths.
+  virtual void estimate_block(const sim::InputSequence& seq,
+                              std::span<const std::size_t> inputs,
+                              std::size_t t0, std::size_t m, double* values,
+                              std::vector<std::uint64_t>& scratch) const;
+
   /// Transitions per work chunk of estimate_trace. Chunk boundaries depend
   /// only on the sequence (never on the thread count) and chunk partials
   /// are reduced in chunk order, so estimate_trace is bit-identical for
@@ -58,11 +79,11 @@ class PowerModel {
   static constexpr std::size_t kTraceChunk = 4096;
 
   /// Evaluates every transition of `seq` in one pass, sharding fixed
-  /// kTraceChunk-sized chunks across `pool` when one is given. The default
-  /// implementation loops estimate_ff; models with a batch evaluator
-  /// (the compiled ADD model, Con, Lin) override it.
-  virtual TraceEstimate estimate_trace(const sim::InputSequence& seq,
-                                       ThreadPool* pool = nullptr) const;
+  /// kTraceChunk-sized chunks across `pool` when one is given. Each chunk
+  /// calls estimate_block once per kBlock transitions with the identity
+  /// input map and folds the values t-ascending into its total and peak.
+  TraceEstimate estimate_trace(const sim::InputSequence& seq,
+                               ThreadPool* pool = nullptr) const;
 
   /// Average estimated capacitance per transition over a sequence.
   double average_over(const sim::InputSequence& seq) const {
@@ -73,16 +94,6 @@ class PowerModel {
   double peak_over(const sim::InputSequence& seq) const {
     return estimate_trace(seq).peak_ff;
   }
-
- protected:
-  /// Shared sharding/reduction skeleton for estimate_trace implementations:
-  /// chunk_fn(begin, end, total, peak) evaluates transitions [begin, end)
-  /// into zero-initialized per-chunk slots (possibly on a pool thread);
-  /// partials are then combined in chunk order on the calling thread.
-  TraceEstimate reduce_trace(
-      std::size_t transitions, ThreadPool* pool,
-      const std::function<void(std::size_t, std::size_t, double&, double&)>&
-          chunk_fn) const;
 };
 
 /// Supply voltage context to convert capacitance to energy/power.

@@ -25,6 +25,18 @@ double ResidualCalibratedModel::estimate_ff(
   return std::max(est, 0.0);
 }
 
+void ResidualCalibratedModel::estimate_block(
+    const sim::InputSequence& seq, std::span<const std::size_t> inputs,
+    std::size_t t0, std::size_t m, double* values,
+    std::vector<std::uint64_t>& scratch) const {
+  double residual[kBlock];
+  structural_->estimate_block(seq, inputs, t0, m, values, scratch);
+  residual_.estimate_block(seq, inputs, t0, m, residual, scratch);
+  for (std::size_t t = 0; t < m; ++t) {
+    values[t] = std::max(values[t] + residual[t], 0.0);
+  }
+}
+
 ResidualCalibratedModel calibrate_residual(
     std::shared_ptr<const PowerModel> structural, const sim::InputSequence& seq,
     std::span<const double> reference_per_transition_ff) {

@@ -37,6 +37,12 @@ class ResidualCalibratedModel final : public PowerModel {
   double worst_case_ff() const override {
     return structural_->worst_case_ff() + residual_.worst_case_ff();
   }
+  /// The structural block plus the residual block, clamped like
+  /// estimate_ff.
+  void estimate_block(const sim::InputSequence& seq,
+                      std::span<const std::size_t> inputs, std::size_t t0,
+                      std::size_t m, double* values,
+                      std::vector<std::uint64_t>& scratch) const override;
 
   const PowerModel& structural() const { return *structural_; }
   const LinearModel& residual() const { return residual_; }

@@ -203,7 +203,8 @@ TEST(CompiledEval, BaselineTracesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// A model without a batch override exercises the default estimate_ff loop.
+// A model without an estimate_block override exercises the default
+// byte-gather block, which loops estimate_ff.
 class ToyQuadraticModel final : public power::PowerModel {
  public:
   std::string name() const override { return "Toy"; }
