@@ -173,7 +173,7 @@ struct BuildReply {
 struct EvalRequest {
   std::uint32_t api_version = kApiVersion;
   stats::InputStatistics statistics{0.5, 0.5};
-  std::size_t vectors = 10000;
+  std::size_t vectors = 10000;  ///< >= 2; fewer is a UsageError
   std::uint64_t seed = 0xcf9e;  ///< the CLI's fixed workload seed
 };
 
@@ -197,7 +197,7 @@ struct ChipRequest {
   bool degrade = true;           ///< §9 ladder per macro
   std::optional<std::size_t> deadline_ms;  ///< per-macro build deadline
   stats::InputStatistics statistics{0.5, 0.5};
-  std::size_t vectors = 10000;
+  std::size_t vectors = 10000;  ///< >= 2; fewer is a UsageError
   std::uint64_t seed = 0xcf9e;
 };
 
