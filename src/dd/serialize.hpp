@@ -18,9 +18,6 @@
 // restriction of complement edges to the BDD fragment; a serialized BDD has
 // the single terminal 1 and encodes logical zero as root !<id-of-1>.
 //
-// The v1 format ("cfpm-add 1" header, plain ids, ADDs only) is still read
-// for backward compatibility; the writer always emits v2.
-//
 // The node structure is canonical only under the recorded variable order
 // (sifting may have moved variables); loading a reordered diagram requires
 // a fresh manager, whose order is set before any node is built.
@@ -39,7 +36,7 @@ void write_add(std::ostream& os, const Add& f);
 /// Throws cfpm::Error on stream failure.
 void write_bdd(std::ostream& os, const Bdd& f);
 
-/// Reads an ADD (v1 or v2 'add') into `mgr` (which must have at least the
+/// Reads an ADD (v2 'add') into `mgr` (which must have at least the
 /// serialized variable count). Throws cfpm::ParseError on malformed input.
 Add read_add(std::istream& is, DdManager& mgr);
 

@@ -220,24 +220,32 @@ BuildReply build(const BuildRequest& request) {
 // Evaluate
 // ---------------------------------------------------------------------------
 
-EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
-                   ThreadPool* pool) {
-  check_version(request.api_version);
-  check_vectors(request.vectors);
-  if (!stats::feasible(request.statistics)) {
+sim::InputSequence workload(const stats::InputStatistics& statistics,
+                            std::size_t inputs, std::size_t vectors,
+                            std::uint64_t seed) {
+  check_vectors(vectors);
+  if (!stats::feasible(statistics)) {
     // Deliberately cfpm::Error, not UsageError: this is the message (and
     // exit code 1) the one-shot CLI has always produced for an infeasible
     // workload, and scripts key on it.
     throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
   }
-  stats::MarkovSequenceGenerator gen(request.statistics, request.seed);
-  const sim::InputSequence seq =
-      gen.generate(model.num_inputs(), request.vectors);
-  return evaluate_trace(model, seq, pool);
+  stats::MarkovSequenceGenerator gen(statistics, seed);
+  return gen.generate(inputs, vectors);
+}
+
+EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
+                   ThreadPool* pool) {
+  check_version(request.api_version);
+  return evaluate_trace(model,
+                        workload(request.statistics, model.num_inputs(),
+                                 request.vectors, request.seed),
+                        pool);
 }
 
 EvalReply evaluate_trace(const power::PowerModel& model,
                          const sim::InputSequence& seq, ThreadPool* pool) {
+  check_vectors(seq.length());
   CFPM_TRACE_SPAN("service.evaluate");
   static const metrics::Counter c_eval("service.eval.count");
   c_eval.add();
@@ -331,15 +339,11 @@ ChipReply evaluate_chip(const ChipRequest& request,
                         const cfpm::chip::ModelSource& source,
                         ThreadPool* pool) {
   check_version(request.api_version);
-  check_vectors(request.vectors);
-  if (!stats::feasible(request.statistics)) {
-    // Same exception type and message as evaluate(): scripts key on it.
-    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-  }
   const cfpm::chip::ChipSpec spec = parse_chip_spec(request.spec);
+  // Generated before the build so a bad workload fails without building.
+  const sim::InputSequence trace = workload(
+      request.statistics, spec.bus_width(), request.vectors, request.seed);
   const cfpm::chip::Chip c = cfpm::chip::build_chip(spec, source);
-  stats::MarkovSequenceGenerator gen(request.statistics, request.seed);
-  const sim::InputSequence trace = gen.generate(c.bus_width(), request.vectors);
   return finish_chip_reply(c, trace, pool);
 }
 
@@ -359,6 +363,7 @@ ChipReply evaluate_chip_trace(const ChipRequest& request,
                      " bits wide; chip " + spec.to_string() + " needs " +
                      std::to_string(spec.bus_width()));
   }
+  check_vectors(trace.length());
   const cfpm::chip::Chip c = cfpm::chip::build_chip(
       spec, cfpm::chip::make_model_source(to_chip_build_options(request)));
   return finish_chip_reply(c, trace, pool);

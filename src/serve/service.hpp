@@ -86,7 +86,8 @@ struct ErrorPayload {
 };
 
 /// Request-shape violations detected by the facade itself (bad api_version,
-/// infeasible statistics, unknown enum value). Maps to exit code 2.
+/// a workload without a transition, a malformed chip spec, unknown enum
+/// value). Maps to exit code 2.
 class UsageError : public Error {
  public:
   explicit UsageError(const std::string& what) : Error(what) {}
@@ -110,10 +111,10 @@ constexpr int exit_code(StatusCode code) noexcept {
 // Content-addressed model identity
 // ---------------------------------------------------------------------------
 
-/// 128-bit content address of a compiled model: `key` indexes the
-/// registry's minimal-perfect-hash table, `check` is an independent hash
-/// verified on every hit so a 64-bit key collision is rejected (typed
-/// error) instead of silently serving the wrong macro's model.
+/// 128-bit content address of a compiled model: `key` is the registry's
+/// hash-map key, `check` is an independent hash verified on every hit so a
+/// 64-bit key collision is rejected (typed error) instead of silently
+/// serving the wrong macro's model.
 struct ModelId {
   std::uint64_t key = 0;
   std::uint64_t check = 0;
@@ -167,6 +168,9 @@ struct BuildReply {
   power::AddModelBuildInfo build_info;
 };
 
+/// The CLI's fixed seed for every generated workload.
+inline constexpr std::uint64_t kWorkloadSeed = 0xcf9e;
+
 /// A (sp, st) workload evaluation: generate `vectors` Markov vectors from
 /// `seed` and run one batched estimate_trace pass — the identical recipe
 /// the one-shot CLI uses, so daemon and CLI results are bit-identical.
@@ -174,7 +178,7 @@ struct EvalRequest {
   std::uint32_t api_version = kApiVersion;
   stats::InputStatistics statistics{0.5, 0.5};
   std::size_t vectors = 10000;  ///< >= 2; fewer is a UsageError
-  std::uint64_t seed = 0xcf9e;  ///< the CLI's fixed workload seed
+  std::uint64_t seed = kWorkloadSeed;
 };
 
 struct EvalReply {
@@ -198,7 +202,7 @@ struct ChipRequest {
   std::optional<std::size_t> deadline_ms;  ///< per-macro build deadline
   stats::InputStatistics statistics{0.5, 0.5};
   std::size_t vectors = 10000;  ///< >= 2; fewer is a UsageError
-  std::uint64_t seed = 0xcf9e;
+  std::uint64_t seed = kWorkloadSeed;
 };
 
 /// One distinct library macro in a chip reply (shared by its instances).
@@ -264,14 +268,23 @@ BuildReply build(const BuildRequest& request);
 BuildReply build(const netlist::Netlist& n, power::ModelKind kind,
                  const power::ModelOptions& options);
 
+/// The seeded Markov workload every generated-workload path evaluates
+/// (`evaluate`, `evaluate_chip`, `cfpm trace`/`rtl`, `query trace`):
+/// `vectors` steps of `inputs` independent streams. Throws UsageError below
+/// 2 vectors (no transition) and cfpm::Error when st > 2*min(sp, 1-sp).
+sim::InputSequence workload(const stats::InputStatistics& statistics,
+                            std::size_t inputs, std::size_t vectors,
+                            std::uint64_t seed = kWorkloadSeed);
+
 /// Evaluates a (sp, st) workload on a model. Validates api_version and
-/// workload feasibility (typed errors); sharding over `pool` never changes
-/// the bits (PowerModel::estimate_trace contract).
+/// the workload (typed errors); sharding over `pool` never changes the
+/// bits (PowerModel::estimate_trace contract).
 EvalReply evaluate(const power::PowerModel& model, const EvalRequest& request,
                    ThreadPool* pool = nullptr);
 
 /// Evaluates an explicit, caller-supplied trace (the daemon's trace-query
-/// path and the experiment harness's per-cell evaluation).
+/// path and the experiment harness's per-cell evaluation). A trace of
+/// fewer than 2 vectors is a UsageError.
 EvalReply evaluate_trace(const power::PowerModel& model,
                          const sim::InputSequence& seq,
                          ThreadPool* pool = nullptr);
@@ -295,7 +308,8 @@ ChipReply evaluate_chip(const ChipRequest& request, ThreadPool* pool = nullptr);
 
 /// Explicit-trace form (`cfpm chip --trace`): builds the chip from
 /// `request` (its statistics/vectors/seed are ignored) and evaluates both
-/// compositions over `trace`, which must span the chip bus.
+/// compositions over `trace`, which must span the chip bus and hold at
+/// least 2 vectors (UsageError otherwise).
 ChipReply evaluate_chip_trace(const ChipRequest& request,
                               const sim::InputSequence& trace,
                               ThreadPool* pool = nullptr);

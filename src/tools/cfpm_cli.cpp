@@ -1,27 +1,20 @@
 // cfpm — command-line front end for the characterization-free power
-// modeling library.
-//
-//   cfpm info <circuit>                         netlist statistics
-//   cfpm build <circuit> [-m MAX] [--bound] -o model.cfpm
-//   cfpm estimate <model.cfpm> [--sp P] [--st P] [--vectors N] [--vdd V]
-//   cfpm worst <model.cfpm>                     worst case + witness
-//   cfpm accuracy <circuit> [-m MAX] [--vectors N]
-//   cfpm trace <circuit> -o out.vcd [--sp P] [--st P] [--vectors N]
-//   cfpm rtl <design.rtl> [--sp P] [--st P] [--vectors N] [--vdd V]
-//   cfpm sensitivity <model.cfpm>               per-input power attribution
-//   cfpm equiv <golden> <candidate>             formal equivalence check
-//   cfpm fuzz [--runs N] [--seed S] [--checks a,b] [--faults]
-//             [--replay f.repro]
+// modeling library. Every command and flag is one row of kCommands and
+// kFlags below; the parser, the usage text and the exit-2 messages all
+// read those two tables. Run `cfpm` without arguments for the synopsis.
 //
 // <circuit> is a .bench file, a .blif file, or "gen:<name>" for a built-in
 // generator (any Table-1 name, or c17).
+#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "eval/experiment.hpp"
@@ -32,7 +25,6 @@
 #include "netlist/transform.hpp"
 #include "netlist/verify.hpp"
 #include "power/add_model.hpp"
-#include "power/baselines.hpp"
 #include "power/factory.hpp"
 #include "power/rtl_io.hpp"
 #include "chip/chip.hpp"
@@ -43,7 +35,6 @@
 #include "serve/service.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_io.hpp"
-#include "stats/markov.hpp"
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
 #include "support/governor.hpp"
@@ -51,7 +42,6 @@
 #include "support/metrics.hpp"
 #include "support/parse.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 #include "support/trace.hpp"
 #include "verify/corpus.hpp"
 #include "verify/fuzzer.hpp"
@@ -76,84 +66,6 @@ constexpr int kExitUsage = service::exit_code(service::StatusCode::kUsage);
 constexpr int kExitDegraded =
     service::exit_code(service::StatusCode::kDegraded);
 
-int usage() {
-  std::cerr <<
-      "usage:\n"
-      "  cfpm info <circuit>\n"
-      "  cfpm build <circuit> [-m MAX] [--bound] [-o model.cfpm]\n"
-      "             [--deadline-ms N] [--no-degrade]\n"
-      "  cfpm estimate <model.cfpm> [--sp P] [--st P] [--vectors N] [--vdd V]\n"
-      "                [--threads N] [--compiled]\n"
-      "  cfpm worst <model.cfpm>\n"
-      "  cfpm accuracy <circuit> [-m MAX] [--vectors N] [--deadline-ms N]\n"
-      "  cfpm trace <circuit> -o out.vcd [--sp P] [--st P] [--vectors N]\n"
-      "  cfpm rtl <design.rtl> [--sp P] [--st P] [--vectors N] [--vdd V]\n"
-      "  cfpm chip --spec CxBxM [--trace FILE] [--shards N] [--sp P] [--st P]\n"
-      "            [--vectors N] [-m MAX] [--deadline-ms N] [--no-degrade]\n"
-      "            [--vdd V]\n"
-      "  cfpm sensitivity <model.cfpm>\n"
-      "  cfpm equiv <golden> <candidate>\n"
-      "  cfpm fuzz [--runs N] [--seed S] [--max-gates N] [--patterns N]\n"
-      "            [--checks a,b|list] [--corpus-dir DIR] [--deadline-ms N]\n"
-      "            [--faults]\n"
-      "  cfpm fuzz --replay <file.repro>\n"
-      "  cfpm serve --socket PATH [--persist DIR] [--threads N]\n"
-      "             [--build-threads N] [--deadline-ms N]\n"
-      "  cfpm query <verb> --socket PATH [args]   with <verb> one of:\n"
-      "             build <circuit> [-m MAX] [--bound] [--deadline-ms N]\n"
-      "             eval <circuit|model-id> [--sp P] [--st P] [--vectors N]\n"
-      "             trace <circuit> [--sp P] [--st P] [--vectors N]\n"
-      "             chip [--spec CxBxM] [--sp P] [--st P] [--vectors N]\n"
-      "             stats | ping | shutdown\n"
-      "\n"
-      "<circuit>: path to a .bench or .blif file, or gen:<name> with <name>\n"
-      "one of c17, alu2, alu4, cmb, cm150, cm85, comp, decod, k2, mux,\n"
-      "parity, pcle, x1, x2.\n"
-      "\n"
-      "--threads N shards trace evaluation over a pool of N threads\n"
-      "(0 = all hardware threads); results are bit-identical for any N.\n"
-      "chip builds a composed chip: --spec CxBxM instantiates C blocks of B\n"
-      "macros from a generated library over M bus bits per block; sibling\n"
-      "macros share bus bits. --shards N shards the streaming evaluator\n"
-      "(0 = all hardware threads; bit-identical for any N); --trace FILE\n"
-      "evaluates a text bit-matrix trace instead of the seeded workload.\n"
-      "The CFPM_SIMD environment variable (auto|scalar|avx2|avx512) caps\n"
-      "the evaluation kernel tier (default auto = best the CPU supports).\n"
-      "All tiers are bit-identical.\n"
-      "--compiled prints compiled-evaluator diagnostics and throughput.\n"
-      "--deadline-ms N bounds model construction by wall clock; on expiry\n"
-      "the build degrades (harder approximation, then a constant bound)\n"
-      "instead of running unbounded. --no-degrade fails fast instead.\n"
-      "--failpoints SPEC arms fault-injection points for this run, same\n"
-      "grammar as the CFPM_FAILPOINTS environment variable:\n"
-      "  name=action[:count][,name=action[:count]...]\n"
-      "with action one of throw_bad_alloc, throw_deadline, throw_resource,\n"
-      "delay_ms(N), fail_io (count 0 = fire forever; default once).\n"
-      "--metrics-json PATH writes the pipeline metrics snapshot (counters,\n"
-      "gauges, histograms) as JSON on exit, whatever the outcome.\n"
-      "--trace-json PATH records phase spans and writes Chrome trace_event\n"
-      "JSON on exit (load in chrome://tracing or ui.perfetto.dev).\n"
-      "fuzz cross-checks the symbolic engines against independent oracles\n"
-      "on random circuits; failures are minimized into --corpus-dir as\n"
-      ".repro files (--checks list prints the registered invariants).\n"
-      "fuzz --faults additionally arms a seed-derived failpoint spec per\n"
-      "check and asserts deterministic recovery: injected faults may fail\n"
-      "typed, but a clean rerun must pass and values must never corrupt.\n"
-      "serve runs the long-lived model server: --threads N sets the eval\n"
-      "pool lanes (0 = all hardware threads). Each build runs on the\n"
-      "thread of the connection that asked for it, and concurrent requests\n"
-      "for one model share one build; --build-threads N is accepted and\n"
-      "ignored. Cached build replies perform zero construction work and\n"
-      "eval replies are bit-identical to the one-shot CLI. query\n"
-      "talks to a running daemon; eval/trace accept the circuit spec (the\n"
-      "content id is computed locally) or the 32-hex model id a build\n"
-      "printed.\n"
-      "exit codes: 0 ok, 1 error, 2 usage, 3 degraded result, 4 out of\n"
-      "memory, 5 internal error, 6 daemon stopped by SIGINT/SIGTERM after\n"
-      "a clean drain.\n";
-  return kExitUsage;
-}
-
 netlist::Netlist load_circuit(const std::string& spec) {
   if (spec.rfind("gen:", 0) == 0) {
     const std::string name = spec.substr(4);
@@ -170,70 +82,54 @@ netlist::Netlist load_circuit(const std::string& spec) {
               "' (expect .bench, .blif or gen:<name>)");
 }
 
+/// Every value a command line can set; kFlags documents each one.
 struct Args {
   std::vector<std::string> positional;
-  std::size_t max_nodes = 1000;
+  std::optional<std::size_t> max_nodes;  // unset: the facade's default
   bool bound = false;
   std::string output;
   double sp = 0.5;
   double st = 0.5;
   std::size_t vectors = 10000;
   double vdd = 3.3;
-  std::size_t threads = 1;        // 0 = hardware concurrency
-  bool compiled = false;
-  bool max_nodes_explicit = false;  // -m was given (chip defaults differ)
-
-  // chip subcommand
+  std::size_t threads = 1;  // eval pool lanes; 0 = hardware concurrency
   std::string chip_spec = "2x3x12";  // CxBxM topology
-  std::size_t shards = 1;            // eval pool lanes; 0 = hardware
   std::string chip_trace;            // explicit trace file (text bit matrix)
   std::optional<std::size_t> deadline_ms;  // wall-clock build budget
   bool degrade = true;
   std::string metrics_json;  // write metrics snapshot here on exit
   std::string trace_json;    // record spans; write Chrome trace here on exit
+  std::string socket;        // Unix-domain socket path of the daemon
+  std::string persist_dir;   // registry warm-start directory (serve)
 
-  // serve / query subcommands
-  std::string socket;       // Unix-domain socket path of the daemon
-  std::string persist_dir;  // registry warm-start directory (serve)
-
-  // fuzz subcommand
+  // fuzz
   std::uint64_t seed = 1;
   std::size_t runs = 100;
   std::size_t fuzz_max_gates = 64;
   std::size_t patterns = 128;
-  std::string checks;                    // comma-separated, or "list"
+  std::string checks;  // comma-separated, or "list"
   std::string corpus_dir = "fuzz/corpus";
-  std::string replay;                    // .repro file to re-run
-  bool fuzz_faults = false;              // fault-injection campaign mode
+  std::string replay;        // .repro file to re-run
+  bool fuzz_faults = false;  // fault-injection campaign mode
 
-  /// Build options honoring the resilience flags. A governor is always
-  /// attached (its poll/checkpoint counters feed the observability layer);
-  /// the deadline is only armed when --deadline-ms asks for one. It is
-  /// shared so a multi-build command spends one budget.
-  power::AddModelOptions model_options() const {
-    power::AddModelOptions opt;
-    opt.max_nodes = max_nodes;
-    opt.mode = bound ? dd::ApproxMode::kUpperBound : dd::ApproxMode::kAverage;
-    opt.degrade = degrade;
-    auto governor = std::make_shared<Governor>();
-    if (deadline_ms) {
-      governor->set_deadline(std::chrono::milliseconds(*deadline_ms));
-    }
-    opt.dd_config.governor = std::move(governor);
-    return opt;
-  }
-
-  /// The same knobs in the facade's wire-shape form — what `build`,
-  /// `query build` and `query eval` send through cfpm::service, so the
+  /// The build knobs in the facade's wire-shape form — what `build`,
+  /// `accuracy` and every `query` send through cfpm::service, so the
   /// one-shot and daemon paths compute identical content ids and models.
   service::BuildOptions service_options() const {
     service::BuildOptions o;
     o.kind = bound ? power::ModelKind::kAddUpperBound
                    : power::ModelKind::kAddAverage;
-    o.max_nodes = max_nodes;
+    if (max_nodes) o.max_nodes = *max_nodes;
     o.degrade = degrade;
     o.deadline_ms = deadline_ms;
     return o;
+  }
+
+  service::EvalRequest eval_request() const {
+    service::EvalRequest r;
+    r.statistics = {sp, st};
+    r.vectors = vectors;
+    return r;
   }
 
   /// The chip request both `cfpm chip` and `cfpm query chip` send, so the
@@ -243,186 +139,27 @@ struct Args {
   service::ChipRequest chip_request() const {
     service::ChipRequest r;
     r.spec = chip_spec;
-    if (max_nodes_explicit) r.max_nodes = max_nodes;
+    if (max_nodes) r.max_nodes = *max_nodes;
     r.degrade = degrade;
     r.deadline_ms = deadline_ms;
     r.statistics = {sp, st};
     r.vectors = vectors;
     return r;
   }
-};
 
-/// Parses the command line. Accepts both `--flag value` and `--flag=value`.
-/// Every numeric value goes through parse_number (std::from_chars: full
-/// match, range-checked, locale-free), so `--threads abc`, `--vectors -1`
-/// and `--sp 0.5x` are reported as usage errors naming the flag — the old
-/// std::stoul/std::stod calls threw out of parse() (aborting the process,
-/// since parse runs before main's try block) or silently wrapped -1 to
-/// 2^64-1 and accepted trailing garbage.
-std::optional<Args> parse(int argc, char** argv) {
-  Args a;
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::optional<std::string> attached;
-    if (flag.rfind("--", 0) == 0) {
-      if (const auto eq = flag.find('='); eq != std::string::npos) {
-        attached = flag.substr(eq + 1);
-        flag.resize(eq);
-      }
-    }
-
-    auto value = [&]() -> std::optional<std::string> {
-      if (attached) return attached;
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    // Reads a numeric value into `out`; false (after reporting the flag
-    // and the offending text) on anything but a clean full-token parse.
-    auto number = [&](auto& out) -> bool {
-      const auto v = value();
-      if (!v) return false;
-      const auto parsed = parse_number<std::decay_t<decltype(out)>>(*v);
-      if (!parsed) {
-        std::cerr << "invalid value for " << flag << ": '" << *v << "'\n";
-        return false;
-      }
-      out = *parsed;
-      return true;
-    };
-    auto probability = [&](double& out) -> bool {
-      if (!number(out)) return false;
-      if (!(out >= 0.0 && out <= 1.0)) {
-        std::cerr << "value of " << flag << " must be in [0, 1], got " << out
-                  << "\n";
-        return false;
-      }
-      return true;
-    };
-    auto text = [&](std::string& out) -> bool {
-      const auto v = value();
-      if (!v) return false;
-      out = *v;
-      return true;
-    };
-    // Boolean flags take no value; "--bound=yes" is a usage error, not a
-    // silently ignored suffix.
-    auto boolean = [&](bool& out, bool v) -> bool {
-      if (attached) {
-        std::cerr << flag << " does not take a value\n";
-        return false;
-      }
-      out = v;
-      return true;
-    };
-
-    bool ok = true;
-    if (flag == "-m" || flag == "--max-nodes") {
-      ok = number(a.max_nodes);
-      a.max_nodes_explicit = ok;
-    } else if (flag == "--spec") {
-      ok = text(a.chip_spec);
-    } else if (flag == "--shards") {
-      ok = number(a.shards);
-    } else if (flag == "--trace") {
-      ok = text(a.chip_trace);
-    } else if (flag == "--bound") {
-      ok = boolean(a.bound, true);
-    } else if (flag == "-o" || flag == "--output") {
-      ok = text(a.output);
-    } else if (flag == "--sp") {
-      ok = probability(a.sp);
-    } else if (flag == "--st") {
-      ok = probability(a.st);
-    } else if (flag == "--vectors") {
-      ok = number(a.vectors) && [&] {
-        if (a.vectors >= 2) return true;
-        std::cerr << "value of --vectors must be >= 2 (a workload needs at "
-                     "least one transition), got "
-                  << a.vectors << "\n";
-        return false;
-      }();
-    } else if (flag == "--vdd") {
-      ok = number(a.vdd) && [&] {
-        if (a.vdd > 0.0 && a.vdd < 1e3) return true;
-        std::cerr << "value of --vdd must be in (0, 1000) volts, got " << a.vdd
-                  << "\n";
-        return false;
-      }();
-    } else if (flag == "--threads") {
-      ok = number(a.threads);
-    } else if (flag == "--build-threads") {
-      std::size_t ignored = 0;  // parsed for old scripts, then ignored
-      ok = number(ignored);
-    } else if (flag == "--compiled") {
-      ok = boolean(a.compiled, true);
-    } else if (flag == "--deadline-ms") {
-      std::size_t ms = 0;
-      ok = number(ms);
-      if (ok) a.deadline_ms = ms;
-    } else if (flag == "--degrade") {
-      ok = boolean(a.degrade, true);
-    } else if (flag == "--no-degrade") {
-      ok = boolean(a.degrade, false);
-    } else if (flag == "--failpoints") {
-      // Applied immediately: the registry is process-global state, and
-      // arm_from_spec doubles as the validator (same grammar as the
-      // CFPM_FAILPOINTS environment variable).
-      std::string spec;
-      ok = text(spec) && [&] {
-        try {
-          failpoint::arm_from_spec(spec);
-        } catch (const cfpm::Error& e) {
-          std::cerr << "invalid value for --failpoints: " << e.what() << "\n";
-          return false;
-        }
-        if (!failpoint::compiled_in()) {
-          std::cerr << "warning: --failpoints ignored (built with "
-                       "CFPM_NO_FAILPOINTS)\n";
-        }
-        return true;
-      }();
-    } else if (flag == "--socket") {
-      ok = text(a.socket);
-    } else if (flag == "--persist") {
-      ok = text(a.persist_dir);
-    } else if (flag == "--metrics-json") {
-      ok = text(a.metrics_json);
-    } else if (flag == "--trace-json") {
-      ok = text(a.trace_json);
-    } else if (flag == "--seed") {
-      ok = number(a.seed);
-    } else if (flag == "--runs") {
-      ok = number(a.runs);
-    } else if (flag == "--max-gates") {
-      ok = number(a.fuzz_max_gates);
-    } else if (flag == "--patterns") {
-      ok = number(a.patterns);
-    } else if (flag == "--checks") {
-      ok = text(a.checks);
-    } else if (flag == "--corpus-dir") {
-      ok = text(a.corpus_dir);
-    } else if (flag == "--replay") {
-      ok = text(a.replay);
-    } else if (flag == "--faults") {
-      ok = boolean(a.fuzz_faults, true);
-    } else if (!flag.empty() && flag[0] == '-') {
-      std::cerr << "unknown option: " << flag << "\n";
-      ok = false;
-    } else {
-      a.positional.push_back(std::string(argv[i]));
-    }
-    if (!ok) return std::nullopt;
+  /// "workload: sp=.. st=.. (N vectors)", the line every generated-workload
+  /// command prints before its results.
+  std::string workload_line() const {
+    std::ostringstream os;
+    os << "workload: sp=" << sp << " st=" << st << " (" << vectors
+       << " vectors)\n";
+    return os.str();
   }
-  return a;
-}
+};
 
 const netlist::GateLibrary kLib = netlist::GateLibrary::standard();
 
 int cmd_info(const Args& a) {
-  if (a.positional.size() != 1) return usage();
   const netlist::Netlist n = load_circuit(a.positional[0]);
   std::cout << "circuit : " << n.name() << "\n";
   std::cout << "inputs  : " << n.num_inputs() << "\n";
@@ -472,16 +209,16 @@ int report_build_outcome(const power::AddModelBuildInfo& info) {
 }
 
 int cmd_build(const Args& a) {
-  if (a.positional.size() != 1) return usage();
   const netlist::Netlist n = load_circuit(a.positional[0]);
   // Through the service facade: the same BuildRequest path the daemon
   // executes, so the printed content id addresses the identical model in a
   // `cfpm serve` registry.
+  const service::BuildOptions options = a.service_options();
   const service::BuildReply reply =
-      service::build({service::kApiVersion, n, a.service_options()});
+      service::build({service::kApiVersion, n, options});
   std::cout << "model   : " << reply.model_nodes << " nodes ("
             << (a.bound ? "upper bound" : "average") << " mode, MAX "
-            << a.max_nodes << ")\n";
+            << options.max_nodes << ")\n";
   std::cout << "id      : " << reply.id.to_hex() << "\n";
   std::cout << "built in " << reply.build_info.build_seconds << " s, "
             << reply.build_info.approximations << " approximations, "
@@ -506,55 +243,35 @@ power::AddPowerModel load_model(const std::string& path) {
   return power::AddPowerModel::load(in);
 }
 
-int cmd_estimate(const Args& a) {
-  if (a.positional.size() != 1) return usage();
-  const auto model = load_model(a.positional[0]);
-
-  // Through the service facade: one seeded Markov workload + one batched
-  // estimate_trace pass, sharded over a pool when --threads asks for one.
-  // Results are bit-identical for every thread count — and to a daemon
-  // eval query with the same parameters, since the daemon runs this exact
-  // entry point.
-  service::EvalRequest request;
-  request.statistics = {a.sp, a.st};
-  request.vectors = a.vectors;
-  cfpm::ThreadPool pool(a.threads == 0 ? 0 : a.threads);
-  cfpm::Timer timer;
-  const service::EvalReply est = service::evaluate(model, request, &pool);
-  const double eval_seconds = timer.seconds();
-  const double avg = est.average_ff;
-  const double peak = est.peak_ff;
+/// The workload, average, peak and `exact` lines of an eval reply. The
+/// exact line (shortest-round-trip doubles) is spelled identically by
+/// `estimate` and `query eval|trace`: the serve-smoke job diffs the two
+/// byte-for-byte.
+void print_eval_reply(const Args& a, const service::EvalReply& r,
+                      std::string_view peak_note) {
   const power::SupplyConfig supply{a.vdd};
-  std::cout << "workload: sp=" << a.sp << " st=" << a.st << " (" << a.vectors
-            << " vectors)\n";
-  if (a.compiled) {
-    const dd::CompiledDd& c = model.compiled();
-    std::cout << "engine  : compiled ADD (" << c.num_internal_nodes()
-              << " internal + " << c.num_terminals() << " terminal records, "
-              << "depth " << c.depth() << "), " << pool.num_threads()
-              << " thread(s)\n";
-    std::cout << "eval    : " << est.transitions << " patterns in "
-              << 1e3 * eval_seconds << " ms ("
-              << (eval_seconds > 0.0
-                      ? static_cast<double>(est.transitions) / eval_seconds
-                      : 0.0)
-              << " patterns/s)\n";
-  }
-  std::cout << "average : " << avg << " fF/cycle = "
-            << supply.energy_fj(avg) << " fJ/cycle @ " << a.vdd << " V\n";
-  std::cout << "peak    : " << peak << " fF ("
-            << (model.is_upper_bound() ? "conservative bound" : "estimate")
-            << ")\n";
-  // Shortest-round-trip doubles: lets scripts diff this line against a
-  // daemon eval reply bit-for-bit (the serve-smoke CI job does).
-  std::cout << "exact   : total=" << format_double(est.total_ff)
-            << " average=" << format_double(avg)
-            << " peak=" << format_double(peak) << "\n";
+  std::cout << a.workload_line();
+  std::cout << "average : " << r.average_ff << " fF/cycle = "
+            << supply.energy_fj(r.average_ff) << " fJ/cycle @ " << a.vdd
+            << " V\n";
+  std::cout << "peak    : " << r.peak_ff << " fF" << peak_note << "\n";
+  std::cout << "exact   : total=" << format_double(r.total_ff)
+            << " average=" << format_double(r.average_ff)
+            << " peak=" << format_double(r.peak_ff) << "\n";
+}
+
+int cmd_estimate(const Args& a) {
+  const auto model = load_model(a.positional[0]);
+  // The daemon's eval entry point: bit-identical to a `query eval` with
+  // the same parameters, and for every --threads value.
+  cfpm::ThreadPool pool(a.threads);
+  print_eval_reply(a, service::evaluate(model, a.eval_request(), &pool),
+                   model.is_upper_bound() ? " (conservative bound)"
+                                          : " (estimate)");
   return 0;
 }
 
 int cmd_worst(const Args& a) {
-  if (a.positional.size() != 1) return usage();
   const auto model = load_model(a.positional[0]);
   const auto t = model.worst_case_transition();
   std::cout << "worst case: " << model.worst_case_ff() << " fF\n";
@@ -569,24 +286,19 @@ int cmd_worst(const Args& a) {
 }
 
 int cmd_accuracy(const Args& a) {
-  if (a.positional.size() != 1) return usage();
   const netlist::Netlist n = load_circuit(a.positional[0]);
   const sim::GateLevelSimulator golden(n, kLib);
 
-  power::ModelOptions options;
-  options.add = a.model_options();
-  options.library = kLib;
-  options.characterization_vectors = a.vectors;
-  options.characterization_seed = 0xcf9e;
+  service::BuildOptions build = a.service_options();
+  build.characterization_vectors = a.vectors;
+  build.characterization_seed = service::kWorkloadSeed;
+  const power::ModelOptions options = service::to_model_options(build, kLib);
   // Through the service facade (rich in-process overload): same factory
   // path as before, with the degradation report delivered in the reply
   // instead of via dynamic_cast.
   const auto con = service::build(n, power::ModelKind::kConstant, options);
   const auto lin = service::build(n, power::ModelKind::kLinear, options);
-  const auto add = service::build(
-      n,
-      a.bound ? power::ModelKind::kAddUpperBound : power::ModelKind::kAddAverage,
-      options);
+  const auto add = service::build(n, build.kind, options);
 
   eval::EvalOptions eval_options;
   eval_options.run.vectors_per_run = a.vectors;
@@ -603,13 +315,8 @@ int cmd_accuracy(const Args& a) {
 }
 
 int cmd_trace(const Args& a) {
-  if (a.positional.size() != 1 || a.output.empty()) return usage();
   const netlist::Netlist n = load_circuit(a.positional[0]);
-  if (!stats::feasible({a.sp, a.st})) {
-    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-  }
-  stats::MarkovSequenceGenerator gen({a.sp, a.st}, 0xcf9e);
-  const auto seq = gen.generate(n.num_inputs(), a.vectors);
+  const auto seq = service::workload({a.sp, a.st}, n.num_inputs(), a.vectors);
   const sim::GateLevelSimulator simulator(n, kLib);
   atomic_write_file(a.output, [&](std::ostream& os) {
     sim::write_vcd(os, n, seq, &simulator);
@@ -623,7 +330,6 @@ int cmd_trace(const Args& a) {
 }
 
 int cmd_sensitivity(const Args& a) {
-  if (a.positional.size() != 1) return usage();
   const auto model = load_model(a.positional[0]);
   const auto s = model.input_sensitivity_ff();
   eval::TextTable table({"input", "sensitivity (fF)", ""});
@@ -645,7 +351,6 @@ int cmd_sensitivity(const Args& a) {
 }
 
 int cmd_equiv(const Args& a) {
-  if (a.positional.size() != 2) return usage();
   const netlist::Netlist golden = load_circuit(a.positional[0]);
   const netlist::Netlist candidate = load_circuit(a.positional[1]);
   const auto r = netlist::check_equivalence(golden, candidate);
@@ -665,14 +370,10 @@ int cmd_equiv(const Args& a) {
 }
 
 int cmd_rtl(const Args& a) {
-  if (a.positional.size() != 1) return usage();
   const power::RtlDescription d =
       power::read_rtl_design_file(a.positional[0], kLib);
-  if (!stats::feasible({a.sp, a.st})) {
-    throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-  }
-  stats::MarkovSequenceGenerator gen({a.sp, a.st}, 0xcf9e);
-  const auto trace = gen.generate(d.design.bus_width(), a.vectors);
+  const auto trace =
+      service::workload({a.sp, a.st}, d.design.bus_width(), a.vectors);
 
   const chip::ChipTraceResult r = chip::evaluate_trace(d.design, trace);
   const double cycles = static_cast<double>(r.transitions);
@@ -680,8 +381,7 @@ int cmd_rtl(const Args& a) {
 
   std::cout << "design  : " << d.name << " (" << d.design.num_instances()
             << " instances, " << d.design.bus_width() << "-bit bus)\n";
-  std::cout << "workload: sp=" << a.sp << " st=" << a.st << " ("
-            << a.vectors << " vectors)\n";
+  std::cout << a.workload_line();
   std::cout << "average : " << r.average_ff() << " fF/cycle = "
             << supply.power_uw(r.average_ff(), 10.0) << " uW @ 100 MHz, "
             << a.vdd << " V\n";
@@ -752,23 +452,20 @@ int print_chip_reply(const Args& a, const service::ChipReply& r,
               << format_double(r.bound_peak_ff / r.worst_case_sum_ff)
               << " of the worst-case sum\n";
   }
-  eval::TextTable blocks({"block", "fF/cycle", "share(%)"});
-  for (const service::ChipComponentTotal& b : r.blocks) {
-    blocks.add_row({b.name, eval::TextTable::num(b.total_ff / cycles, 2),
-                    eval::TextTable::num(
-                        r.total_ff > 0.0 ? 100.0 * b.total_ff / r.total_ff
-                                         : 0.0,
-                        1)});
-  }
-  blocks.print(std::cout);
-  eval::TextTable inst({"instance", "fF/cycle", "share(%)"});
-  for (const service::ChipComponentTotal& i : r.instances) {
-    inst.add_row({i.name, eval::TextTable::num(i.total_ff / cycles, 2),
-                  eval::TextTable::num(
-                      r.total_ff > 0.0 ? 100.0 * i.total_ff / r.total_ff : 0.0,
-                      1)});
-  }
-  inst.print(std::cout);
+  const auto print_totals =
+      [&](const char* component,
+          const std::vector<service::ChipComponentTotal>& totals) {
+        eval::TextTable table({component, "fF/cycle", "share(%)"});
+        for (const service::ChipComponentTotal& t : totals) {
+          const double share =
+              r.total_ff > 0.0 ? 100.0 * t.total_ff / r.total_ff : 0.0;
+          table.add_row({t.name, eval::TextTable::num(t.total_ff / cycles, 2),
+                         eval::TextTable::num(share, 1)});
+        }
+        table.print(std::cout);
+      };
+  print_totals("block", r.blocks);
+  print_totals("instance", r.instances);
   std::cout << "exact   : total=" << format_double(r.total_ff)
             << " average=" << format_double(r.average_ff)
             << " peak=" << format_double(r.peak_ff)
@@ -787,30 +484,22 @@ int print_chip_reply(const Args& a, const service::ChipReply& r,
 }
 
 int cmd_chip(const Args& a) {
-  if (!a.positional.empty()) return usage();
-  const service::ChipRequest request = a.chip_request();
-  cfpm::ThreadPool pool(a.shards == 0 ? 0 : a.shards);
+  cfpm::ThreadPool pool(a.threads);
   if (!a.chip_trace.empty()) {
-    // Explicit trace: width is validated against the spec by the facade.
+    // Explicit trace: width and length are validated by the facade.
     const sim::InputSequence trace =
         cfpm::chip::read_trace_text(a.chip_trace, /*min_width=*/1);
-    const service::ChipReply reply =
-        service::evaluate_chip_trace(request, trace, &pool);
-    std::ostringstream workload;
-    workload << "trace   : " << a.chip_trace << " (" << trace.length()
-             << " vectors)\n";
-    return print_chip_reply(a, reply, workload.str(), /*show_cache=*/false);
+    return print_chip_reply(
+        a, service::evaluate_chip_trace(a.chip_request(), trace, &pool),
+        "trace   : " + a.chip_trace + " (" + std::to_string(trace.length()) +
+            " vectors)\n",
+        /*show_cache=*/false);
   }
-  const service::ChipReply reply = service::evaluate_chip(request, &pool);
-  std::ostringstream workload;
-  workload << "workload: sp=" << a.sp << " st=" << a.st << " (" << a.vectors
-           << " vectors)\n";
-  return print_chip_reply(a, reply, workload.str(), /*show_cache=*/false);
+  return print_chip_reply(a, service::evaluate_chip(a.chip_request(), &pool),
+                          a.workload_line(), /*show_cache=*/false);
 }
 
 int cmd_fuzz(const Args& a) {
-  if (!a.positional.empty()) return usage();
-
   if (a.checks == "list") {
     for (const verify::Check& c : verify::all_checks()) {
       std::cout << c.name << "\n    " << c.invariant << "\n";
@@ -870,7 +559,6 @@ int cmd_fuzz(const Args& a) {
 }
 
 int cmd_serve(const Args& a) {
-  if (!a.positional.empty() || a.socket.empty()) return usage();
   serve::ServerOptions options;
   options.socket_path = a.socket;
   options.persist_dir = a.persist_dir;
@@ -890,121 +578,428 @@ service::ModelId query_model_id(const Args& a, const std::string& target) {
   return service::model_id(load_circuit(target), a.service_options());
 }
 
-void print_eval_reply(const Args& a, const service::EvalReply& r) {
-  const power::SupplyConfig supply{a.vdd};
-  std::cout << "workload: sp=" << a.sp << " st=" << a.st << " (" << a.vectors
-            << " vectors)\n";
-  std::cout << "average : " << r.average_ff << " fF/cycle = "
-            << supply.energy_fj(r.average_ff) << " fJ/cycle @ " << a.vdd
-            << " V\n";
-  std::cout << "peak    : " << r.peak_ff << " fF\n";
-  // Identical spelling to `cfpm estimate`'s exact line on purpose: the
-  // serve-smoke job diffs the two byte-for-byte.
-  std::cout << "exact   : total=" << format_double(r.total_ff)
-            << " average=" << format_double(r.average_ff)
-            << " peak=" << format_double(r.peak_ff) << "\n";
+void print_query_eval_reply(const Args& a, const service::EvalReply& r) {
+  print_eval_reply(a, r, "");
   std::cout << "cache   : " << (r.cache_hit ? "hit" : "miss") << "\n";
 }
 
-int cmd_query(const Args& a) {
-  if (a.positional.empty() || a.socket.empty()) return usage();
-  const std::string& verb = a.positional[0];
-  serve::Client client(a.socket);
-
-  if (verb == "ping") {
-    if (a.positional.size() != 1) return usage();
-    std::cout << client.ping();
-    return kExitOk;
-  }
-  if (verb == "shutdown") {
-    if (a.positional.size() != 1) return usage();
-    client.shutdown_server();
-    std::cout << "server draining\n";
-    return kExitOk;
-  }
-  if (verb == "stats") {
-    if (a.positional.size() != 1) return usage();
-    const serve::wire::StatsReply s = client.stats();
-    std::cout << "models  : " << s.models << "\n"
-              << "hits    : " << s.hits << "\n"
-              << "misses  : " << s.misses << "\n"
-              << "builds  : " << s.builds << "\n";
-    for (const std::string& line : s.model_lines) {
-      std::cout << "  " << line << "\n";
-    }
-    return kExitOk;
-  }
-  if (verb == "build") {
-    if (a.positional.size() != 2) return usage();
-    const netlist::Netlist n = load_circuit(a.positional[1]);
-    const service::BuildReply reply =
-        client.build({service::kApiVersion, n, a.service_options()});
-    std::cout << "id      : " << reply.id.to_hex() << "\n"
-              << "model   : " << reply.model_nodes << " nodes\n"
-              << "cache   : " << (reply.cache_hit ? "hit" : "miss") << "\n";
-    return reply.status == service::StatusCode::kDegraded ? kExitDegraded
-                                                          : kExitOk;
-  }
-  if (verb == "eval") {
-    if (a.positional.size() != 2) return usage();
-    service::EvalRequest request;
-    request.statistics = {a.sp, a.st};
-    request.vectors = a.vectors;
-    print_eval_reply(a, client.evaluate(query_model_id(a, a.positional[1]),
-                                        request));
-    return kExitOk;
-  }
-  if (verb == "chip") {
-    // Remote chip query: the daemon builds the macro library through its
-    // registry (second identical query: all cache hits, zero construction)
-    // and evaluates on its eval pool. The exact line matches `cfpm chip`
-    // with the same parameters byte-for-byte.
-    if (a.positional.size() != 1) return usage();
-    std::ostringstream workload;
-    workload << "workload: sp=" << a.sp << " st=" << a.st << " (" << a.vectors
-             << " vectors)\n";
-    return print_chip_reply(a, client.chip(a.chip_request()), workload.str(),
-                            /*show_cache=*/true);
-  }
-  if (verb == "trace") {
-    // Explicit-trace query: the vectors are generated client-side (same
-    // seeded Markov recipe) and shipped over the wire, exercising the
-    // daemon's batched trace path. Needs the circuit spec for the input
-    // count; results match an eval query with the same parameters exactly.
-    if (a.positional.size() != 2) return usage();
-    const netlist::Netlist n = load_circuit(a.positional[1]);
-    if (!stats::feasible({a.sp, a.st})) {
-      throw Error("infeasible statistics: st must be <= 2*min(sp, 1-sp)");
-    }
-    stats::MarkovSequenceGenerator gen({a.sp, a.st}, 0xcf9e);
-    const auto seq = gen.generate(n.num_inputs(), a.vectors);
-    print_eval_reply(
-        a, client.evaluate_trace(
-               service::model_id(n, a.service_options()), seq));
-    return kExitOk;
-  }
-  std::cerr << "unknown query verb: " << verb << "\n";
-  return usage();
+int query_ping(const Args& a) {
+  std::cout << serve::Client(a.socket).ping();
+  return kExitOk;
 }
 
-// Sentinel for "not a known command" (distinct from every exit code).
-constexpr int kCmdUnknown = -1;
+int query_shutdown(const Args& a) {
+  serve::Client(a.socket).shutdown_server();
+  std::cout << "server draining\n";
+  return kExitOk;
+}
 
-int dispatch(const std::string& cmd, const Args& args) {
-  if (cmd == "info") return cmd_info(args);
-  if (cmd == "build") return cmd_build(args);
-  if (cmd == "estimate") return cmd_estimate(args);
-  if (cmd == "worst") return cmd_worst(args);
-  if (cmd == "accuracy") return cmd_accuracy(args);
-  if (cmd == "trace") return cmd_trace(args);
-  if (cmd == "rtl") return cmd_rtl(args);
-  if (cmd == "sensitivity") return cmd_sensitivity(args);
-  if (cmd == "equiv") return cmd_equiv(args);
-  if (cmd == "chip") return cmd_chip(args);
-  if (cmd == "fuzz") return cmd_fuzz(args);
-  if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "query") return cmd_query(args);
-  return kCmdUnknown;
+int query_stats(const Args& a) {
+  const serve::wire::StatsReply s = serve::Client(a.socket).stats();
+  std::cout << "models  : " << s.models << "\n"
+            << "hits    : " << s.hits << "\n"
+            << "misses  : " << s.misses << "\n"
+            << "builds  : " << s.builds << "\n";
+  for (const std::string& line : s.model_lines) {
+    std::cout << "  " << line << "\n";
+  }
+  return kExitOk;
+}
+
+int query_build(const Args& a) {
+  serve::Client client(a.socket);
+  const netlist::Netlist n = load_circuit(a.positional[0]);
+  const service::BuildReply reply =
+      client.build({service::kApiVersion, n, a.service_options()});
+  std::cout << "id      : " << reply.id.to_hex() << "\n"
+            << "model   : " << reply.model_nodes << " nodes\n"
+            << "cache   : " << (reply.cache_hit ? "hit" : "miss") << "\n";
+  return reply.status == service::StatusCode::kDegraded ? kExitDegraded
+                                                        : kExitOk;
+}
+
+int query_eval(const Args& a) {
+  serve::Client client(a.socket);
+  print_query_eval_reply(
+      a, client.evaluate(query_model_id(a, a.positional[0]), a.eval_request()));
+  return kExitOk;
+}
+
+/// Remote chip query: the daemon builds the macro library through its
+/// registry (second identical query: all cache hits, zero construction)
+/// and evaluates on its eval pool. The exact line matches `cfpm chip` with
+/// the same parameters byte-for-byte.
+int query_chip(const Args& a) {
+  serve::Client client(a.socket);
+  return print_chip_reply(a, client.chip(a.chip_request()), a.workload_line(),
+                          /*show_cache=*/true);
+}
+
+/// Explicit-trace query: the vectors are generated client-side (same
+/// seeded Markov recipe) and shipped over the wire, exercising the
+/// daemon's batched trace path. Needs the circuit spec for the input
+/// count; results match an eval query with the same parameters exactly.
+int query_trace(const Args& a) {
+  serve::Client client(a.socket);
+  const netlist::Netlist n = load_circuit(a.positional[0]);
+  const auto seq = service::workload({a.sp, a.st}, n.num_inputs(), a.vectors);
+  print_query_eval_reply(
+      a, client.evaluate_trace(service::model_id(n, a.service_options()), seq));
+  return kExitOk;
+}
+
+// ---------------------------------------------------------------------------
+// The command line as data
+// ---------------------------------------------------------------------------
+
+using Text = const std::string&;
+
+struct Flag {
+  const char* name;     // spelling synopses show
+  const char* alias;    // second accepted spelling, or nullptr
+  const char* metavar;  // value placeholder; nullptr = boolean, no value
+  /// Applies the value (empty for a boolean) to Args; `flag` is the
+  /// spelling typed, which errors name. Throws service::UsageError.
+  void (*set)(Args& a, Text flag, Text value);
+  const char* help;
+};
+
+/// Numeric values go through parse_number (std::from_chars: full match,
+/// range-checked, locale-free), so `--threads abc`, `--vectors -1` and
+/// `--sp 0.5x` are usage errors naming the flag.
+template <class T>
+T number(Text flag, Text text) {
+  const std::optional<T> v = parse_number<T>(text);
+  if (!v) {
+    throw service::UsageError("invalid value for " + flag + ": '" + text +
+                              "'");
+  }
+  return *v;
+}
+
+[[noreturn]] void out_of_range(Text flag, const char* range, double got) {
+  std::ostringstream msg;
+  msg << "value of " << flag << " must be " << range << ", got " << got;
+  throw service::UsageError(msg.str());
+}
+
+double probability(Text flag, Text text) {
+  const double p = number<double>(flag, text);
+  if (!(p >= 0.0 && p <= 1.0)) out_of_range(flag, "in [0, 1]", p);
+  return p;
+}
+
+void arm_failpoints(Args&, Text flag, Text spec) {
+  // Applied immediately: the registry is process-global state, and
+  // arm_from_spec doubles as the validator (same grammar as the
+  // CFPM_FAILPOINTS environment variable).
+  try {
+    failpoint::arm_from_spec(spec);
+  } catch (const Error& e) {
+    throw service::UsageError("invalid value for " + flag + ": " + e.what());
+  }
+  if (!failpoint::compiled_in()) {
+    std::cerr << "warning: --failpoints ignored (built with "
+                 "CFPM_NO_FAILPOINTS)\n";
+  }
+}
+
+// Setters for the common shapes: a count, a text, a boolean.
+template <auto field>
+void set_count(Args& a, Text flag, Text v) {
+  a.*field = number<std::size_t>(flag, v);
+}
+template <auto field>
+void set_text(Args& a, Text, Text v) {
+  a.*field = v;
+}
+template <auto field, bool value>
+void set_bool(Args& a, Text, Text) {
+  a.*field = value;
+}
+
+const Flag kFlags[] = {
+    {"-m", "--max-nodes", "MAX", set_count<&Args::max_nodes>,
+     "node budget, 0 = exact (default 1000; chip: 4000)"},
+    {"--bound", nullptr, nullptr, set_bool<&Args::bound, true>,
+     "build the conservative upper-bound model"},
+    {"-o", "--output", "FILE", set_text<&Args::output>,
+     "output file: the model (build) or the VCD (trace)"},
+    {"--deadline-ms", nullptr, "N", set_count<&Args::deadline_ms>,
+     "wall-clock build budget; on expiry the build degrades (harder "
+     "approximation, then a constant bound) and exits 3; fuzz: stops the "
+     "campaign"},
+    {"--no-degrade", nullptr, nullptr, set_bool<&Args::degrade, false>,
+     "fail on an expired deadline instead of degrading"},
+    {"--sp", nullptr, "P",
+     [](Args& a, Text f, Text v) { a.sp = probability(f, v); },
+     "signal probability of the workload (default 0.5)"},
+    {"--st", nullptr, "P",
+     [](Args& a, Text f, Text v) { a.st = probability(f, v); },
+     "transition probability (default 0.5); needs st <= 2*min(sp, 1-sp)"},
+    {"--vectors", nullptr, "N",
+     [](Args& a, Text f, Text v) {
+       a.vectors = number<std::size_t>(f, v);
+       if (a.vectors < 2) {
+         out_of_range(f, ">= 2 (a workload needs at least one transition)",
+                      static_cast<double>(a.vectors));
+       }
+     },
+     "workload length, >= 2 (default 10000)"},
+    {"--vdd", nullptr, "V",
+     [](Args& a, Text f, Text v) {
+       a.vdd = number<double>(f, v);
+       if (!(a.vdd > 0.0 && a.vdd < 1e3)) {
+         out_of_range(f, "in (0, 1000) volts", a.vdd);
+       }
+     },
+     "supply voltage in volts (default 3.3)"},
+    {"--threads", "--shards", "N", set_count<&Args::threads>,
+     "eval pool lanes, 0 = all hardware threads (default 1); results are "
+     "bit-identical for any N"},
+    {"--spec", nullptr, "CxBxM", set_text<&Args::chip_spec>,
+     "chip of C blocks of B macros, M bus bits per block (default 2x3x12)"},
+    {"--trace", nullptr, "FILE", set_text<&Args::chip_trace>,
+     "text 0/1 trace to evaluate, one row per vector"},
+    {"--socket", nullptr, "PATH", set_text<&Args::socket>,
+     "Unix socket of the daemon"},
+    {"--persist", nullptr, "DIR", set_text<&Args::persist_dir>,
+     "registry directory to warm-start from and save to"},
+    {"--build-threads", nullptr, "N",
+     [](Args&, Text f, Text v) { (void)number<std::size_t>(f, v); },
+     "ignored (builds run on the requesting connection)"},
+    {"--runs", nullptr, "N", set_count<&Args::runs>,
+     "fuzz iterations (default 100)"},
+    {"--seed", nullptr, "S", set_count<&Args::seed>,
+     "fuzz campaign seed (default 1)"},
+    {"--max-gates", nullptr, "N", set_count<&Args::fuzz_max_gates>,
+     "largest random circuit (default 64)"},
+    {"--patterns", nullptr, "N", set_count<&Args::patterns>,
+     "simulation patterns per check (default 128)"},
+    {"--checks", nullptr, "a,b|list", set_text<&Args::checks>,
+     "run only these checks; list prints the invariants"},
+    {"--corpus-dir", nullptr, "DIR", set_text<&Args::corpus_dir>,
+     "where failures go as .repro (default fuzz/corpus)"},
+    {"--faults", nullptr, nullptr, set_bool<&Args::fuzz_faults, true>,
+     "arm a seed-derived failpoint spec per check: faults may fail typed, "
+     "a clean rerun must pass, values must never corrupt"},
+    {"--replay", nullptr, "FILE", set_text<&Args::replay>,
+     "re-run one .repro file"},
+    {"--failpoints", nullptr, "SPEC", arm_failpoints,
+     "arm fault-injection points: name=action[:count][,...], action one "
+     "of throw_bad_alloc, throw_deadline, throw_resource, delay_ms(N), "
+     "fail_io (count 0 = forever; default once)"},
+    {"--metrics-json", nullptr, "PATH", set_text<&Args::metrics_json>,
+     "write the metrics snapshot as JSON on exit"},
+    {"--trace-json", nullptr, "PATH", set_text<&Args::trace_json>,
+     "record spans; write Chrome trace JSON on exit"},
+};
+
+/// Flags every command accepts.
+constexpr std::string_view kCommonFlags[] = {"--failpoints", "--metrics-json",
+                                             "--trace-json"};
+
+struct Command {
+  std::string_view name;      // argv[1], or "query <verb>"
+  std::string_view operands;  // positional synopsis; each <..> is one operand
+  int (*run)(const Args&);
+  std::string_view required;  // flag that must be given, or empty
+  std::vector<std::string_view> flags;  // accepted besides kCommonFlags
+
+  std::size_t arity() const {
+    return static_cast<std::size_t>(
+        std::count(operands.begin(), operands.end(), '<'));
+  }
+  bool accepts(const Flag& f) const {
+    const auto in = [&](const auto& names) {
+      return std::find(std::begin(names), std::end(names), f.name) !=
+             std::end(names);
+    };
+    return f.name == required || in(flags) || in(kCommonFlags);
+  }
+};
+
+const std::vector<Command> kCommands = {
+    // `info` accepts --vectors, with no effect: `info gen:c17
+    // --vectors=100` is the CLI test's pinned `--flag=value` case.
+    {"info", "<circuit>", cmd_info, "", {"--vectors"}},
+    {"build", "<circuit>", cmd_build, "",
+     {"-m", "--bound", "-o", "--deadline-ms", "--no-degrade"}},
+    {"estimate", "<model.cfpm>", cmd_estimate, "",
+     {"--sp", "--st", "--vectors", "--vdd", "--threads"}},
+    {"worst", "<model.cfpm>", cmd_worst, "", {}},
+    {"accuracy", "<circuit>", cmd_accuracy, "",
+     {"-m", "--bound", "--vectors", "--deadline-ms", "--no-degrade"}},
+    {"trace", "<circuit>", cmd_trace, "-o", {"--sp", "--st", "--vectors"}},
+    {"rtl", "<design.rtl>", cmd_rtl, "", {"--sp", "--st", "--vectors", "--vdd"}},
+    {"chip", "", cmd_chip, "",
+     {"--spec", "--trace", "--threads", "--sp", "--st", "--vectors", "-m",
+      "--deadline-ms", "--no-degrade", "--vdd"}},
+    {"sensitivity", "<model.cfpm>", cmd_sensitivity, "", {}},
+    {"equiv", "<golden> <candidate>", cmd_equiv, "", {}},
+    {"fuzz", "", cmd_fuzz, "",
+     {"--runs", "--seed", "--max-gates", "--patterns", "--checks",
+      "--corpus-dir", "--deadline-ms", "--faults", "--replay"}},
+    {"serve", "", cmd_serve, "--socket",
+     {"--persist", "--threads", "--build-threads", "--deadline-ms"}},
+    {"query build", "<circuit>", query_build, "--socket",
+     {"-m", "--bound", "--deadline-ms", "--no-degrade"}},
+    {"query eval", "<circuit|model-id>", query_eval, "--socket",
+     {"-m", "--bound", "--sp", "--st", "--vectors", "--vdd"}},
+    {"query trace", "<circuit>", query_trace, "--socket",
+     {"-m", "--bound", "--sp", "--st", "--vectors", "--vdd"}},
+    {"query chip", "", query_chip, "--socket",
+     {"--spec", "--sp", "--st", "--vectors", "-m", "--deadline-ms",
+      "--no-degrade", "--vdd"}},
+    {"query stats", "", query_stats, "--socket", {}},
+    {"query ping", "", query_ping, "--socket", {}},
+    {"query shutdown", "", query_shutdown, "--socket", {}},
+};
+
+const Flag* find_flag(std::string_view spelling) {
+  for (const Flag& f : kFlags) {
+    if (spelling == f.name || (f.alias != nullptr && spelling == f.alias)) {
+      return &f;
+    }
+  }
+  return nullptr;
+}
+
+/// "[-m MAX]" (or "-m MAX" when `optional` is false).
+std::string flag_synopsis(const Flag& f, bool optional) {
+  std::string s = f.name;
+  if (f.metavar != nullptr) s += std::string(" ") + f.metavar;
+  return optional ? "[" + s + "]" : s;
+}
+
+/// Writes `line` followed by `words`, breaking before column 79 and
+/// indenting continuation lines by `indent`.
+void print_wrapped(std::string line, const std::vector<std::string>& words,
+                   std::size_t indent) {
+  for (const std::string& w : words) {
+    if (line.size() + 1 + w.size() > 78 && line.size() > indent) {
+      std::cerr << line << "\n";
+      line.assign(indent, ' ');
+    } else if (!line.empty() && line.back() != ' ') {
+      line += ' ';
+    }
+    line += w;
+  }
+  std::cerr << line << "\n";
+}
+
+std::vector<std::string> split_words(std::string_view text) {
+  std::vector<std::string> words;
+  std::istringstream is{std::string(text)};
+  for (std::string w; is >> w;) words.push_back(w);
+  return words;
+}
+
+int usage() {
+  std::cerr << "usage:\n";
+  for (const Command& c : kCommands) {
+    std::string head = "  cfpm " + std::string(c.name);
+    std::vector<std::string> words = split_words(c.operands);
+    if (!c.required.empty()) {
+      words.push_back(flag_synopsis(*find_flag(c.required), false));
+    }
+    for (std::string_view name : c.flags) {
+      words.push_back(flag_synopsis(*find_flag(name), true));
+    }
+    print_wrapped(head, words, head.size() + 1);
+  }
+  std::cerr << "\noptions (every command takes --failpoints, "
+               "--metrics-json, --trace-json):\n";
+  for (const Flag& f : kFlags) {
+    std::string head = std::string("  ") + f.name;
+    if (f.alias != nullptr) head += std::string(", ") + f.alias;
+    if (f.metavar != nullptr) head += std::string(" ") + f.metavar;
+    head.resize(std::max<std::size_t>(head.size() + 1, 26), ' ');
+    print_wrapped(head, split_words(f.help), 26);
+  }
+  std::cerr <<
+      "\n"
+      "<circuit>: path to a .bench or .blif file, or gen:<name> with <name>\n"
+      "one of c17, alu2, alu4, cmb, cm150, cm85, comp, decod, k2, mux,\n"
+      "parity, pcle, x1, x2. <model-id>: the 32-hex id a build printed.\n"
+      "CFPM_SIMD=auto|scalar|avx2|avx512 caps the evaluation kernel tier\n"
+      "(all tiers are bit-identical); CFPM_FAILPOINTS takes the\n"
+      "--failpoints grammar.\n"
+      "exit codes: 0 ok, 1 error, 2 usage, 3 degraded result, 4 out of\n"
+      "memory, 5 internal error, 6 daemon stopped by SIGINT/SIGTERM after\n"
+      "a clean drain.\n";
+  return kExitUsage;
+}
+
+/// Parses argv[2..] against kFlags: `--flag value` and `--flag=value`.
+/// Reports the first bad token on stderr and returns nullopt; appends each
+/// flag given (as typed) to `given`.
+std::optional<Args> parse(
+    int argc, char** argv,
+    std::vector<std::pair<std::string, const Flag*>>& given) {
+  Args a;
+  for (int i = 2; i < argc; ++i) {
+    std::string flag = argv[i];
+    if (flag.empty() || flag[0] != '-') {
+      a.positional.push_back(flag);
+      continue;
+    }
+    std::optional<std::string> value;
+    if (flag.rfind("--", 0) == 0) {
+      if (const auto eq = flag.find('='); eq != std::string::npos) {
+        value = flag.substr(eq + 1);
+        flag.resize(eq);
+      }
+    }
+    const Flag* f = find_flag(flag);
+    if (f == nullptr) {
+      std::cerr << "unknown option: " << flag << "\n";
+      return std::nullopt;
+    }
+    if (f->metavar == nullptr && value) {
+      // "--bound=yes" is a usage error, not a silently ignored suffix.
+      std::cerr << flag << " does not take a value\n";
+      return std::nullopt;
+    }
+    if (f->metavar != nullptr && !value) {
+      if (i + 1 >= argc) {
+        std::cerr << "missing value for " << flag << "\n";
+        return std::nullopt;
+      }
+      value = argv[++i];
+    }
+    try {
+      f->set(a, flag, value.value_or(""));
+    } catch (const service::UsageError& e) {
+      std::cerr << e.what() << "\n";
+      return std::nullopt;
+    }
+    given.emplace_back(flag, f);
+  }
+  return a;
+}
+
+/// The command argv[1] names; for `query`, the verb (first operand) is
+/// consumed from `a` and selects the row.
+const Command* find_command(const std::string& name, Args& a) {
+  std::string key = name;
+  std::string verb;
+  if (name == "query" && !a.positional.empty()) {
+    verb = a.positional.front();
+    a.positional.erase(a.positional.begin());
+    key += " " + verb;
+  }
+  for (const Command& c : kCommands) {
+    if (c.name == key) return &c;
+  }
+  if (name == "query") {
+    std::cerr << (verb.empty() ? "missing query verb"
+                               : "unknown query verb: " + verb)
+              << "\n";
+  } else {
+    std::cerr << "unknown command: " << name << "\n";
+  }
+  return nullptr;
 }
 
 /// Writes the metrics snapshot and/or Chrome trace wherever --metrics-json /
@@ -1012,40 +1007,50 @@ int dispatch(const std::string& cmd, const Args& args) {
 /// failed run is exactly when the numbers matter most — and never changes
 /// the command's exit code (an unwritable path only warns).
 void write_observability(const Args& args) {
-  if (!args.metrics_json.empty()) {
+  const auto write = [](const char* what, const std::string& path,
+                        void (*body)(std::ostream&)) {
+    if (path.empty()) return;
     try {
-      atomic_write_file(args.metrics_json, [](std::ostream& os) {
-        metrics::snapshot().write_json(os);
-      });
+      atomic_write_file(path, body);
     } catch (const std::exception& e) {
-      std::cerr << "warning: cannot write metrics to " << args.metrics_json
-                << ": " << e.what() << "\n";
+      std::cerr << "warning: cannot write " << what << " to " << path << ": "
+                << e.what() << "\n";
     }
-  }
-  if (!args.trace_json.empty()) {
-    try {
-      atomic_write_file(args.trace_json, [](std::ostream& os) {
-        trace::write_chrome_json(os);
-      });
-    } catch (const std::exception& e) {
-      std::cerr << "warning: cannot write trace to " << args.trace_json
-                << ": " << e.what() << "\n";
-    }
-  }
+  };
+  write("metrics", args.metrics_json,
+        [](std::ostream& os) { metrics::snapshot().write_json(os); });
+  write("trace", args.trace_json,
+        [](std::ostream& os) { trace::write_chrome_json(os); });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  const auto args = parse(argc, argv);
+  std::vector<std::pair<std::string, const Flag*>> given;
+  auto args = parse(argc, argv, given);
   if (!args) return usage();
+  const Command* cmd = find_command(argv[1], *args);
+  if (cmd == nullptr) return usage();
+  bool has_required = cmd->required.empty();
+  for (const auto& [spelling, flag] : given) {
+    if (!cmd->accepts(*flag)) {
+      std::cerr << spelling << " is not an option of cfpm " << cmd->name
+                << "\n";
+      return usage();
+    }
+    has_required = has_required || flag->name == cmd->required;
+  }
+  if (!has_required) {
+    std::cerr << "cfpm " << cmd->name << " needs " << cmd->required << "\n";
+    return usage();
+  }
+  if (args->positional.size() != cmd->arity()) return usage();
   if (!args->trace_json.empty()) trace::set_enabled(true);
   int code;
   try {
     CFPM_TRACE_SPAN("cli");
-    code = dispatch(cmd, *args);
+    code = cmd->run(*args);
   } catch (...) {
     // One classifier defines the whole exit-code taxonomy (service layer);
     // daemon error payloads and local exceptions take the same path. An
@@ -1057,10 +1062,6 @@ int main(int argc, char** argv) {
                                                              : "error: ")
               << err.message << "\n";
     code = service::exit_code(err.code);
-  }
-  if (code == kCmdUnknown) {
-    std::cerr << "unknown command: " << cmd << "\n";
-    return usage();
   }
   write_observability(*args);
   return code;

@@ -103,7 +103,7 @@ TEST(ModelSerialization, TruncatedStreamRejected) {
 TEST(ModelSerialization, BadModeRejected) {
   std::stringstream ss(
       "cfpm-power-model 1\ncircuit x\ninputs 2\norder interleaved\n"
-      "mode bogus\ncfpm-add 1\nvars 4\nnodes 1\n0 T 0\nroot 0\n");
+      "mode bogus\ncfpm-dd 2 add\nvars 4\nnodes 1\n0 T 0\nroot 0\n");
   EXPECT_THROW(AddPowerModel::load(ss), ParseError);
 }
 

@@ -198,6 +198,9 @@ TEST(ServeErrors, WorkloadWithoutATransitionIsAUsageError) {
   service::EvalRequest eval;
   eval.vectors = 1;
   EXPECT_THROW((void)client.evaluate(built.id, eval), service::UsageError);
+  const sim::InputSequence one_row(c17_request().netlist.num_inputs(), 1);
+  EXPECT_THROW((void)client.evaluate_trace(built.id, one_row),
+               service::UsageError);
   service::ChipRequest chip;
   chip.spec = "2x2x8";
   chip.vectors = 0;

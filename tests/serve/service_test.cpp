@@ -171,5 +171,20 @@ TEST(ServiceEvaluate, RejectsInfeasibleStatistics) {
   }
 }
 
+TEST(ServiceEvaluate, TraceWithoutATransitionIsAUsageError) {
+  // An explicit trace gets the same >= 2 vector check as a generated one:
+  // one row used to evaluate to average 0 and peak 0 with exit 0.
+  BuildRequest request;
+  request.netlist = netlist::gen::c17();
+  const BuildReply built = build(request);
+  const sim::InputSequence one_row(request.netlist.num_inputs(), 1);
+  EXPECT_THROW((void)evaluate_trace(*built.model, one_row), UsageError);
+
+  ChipRequest chip;
+  chip.spec = "2x2x8";
+  EXPECT_THROW((void)evaluate_chip_trace(chip, sim::InputSequence(16, 1)),
+               UsageError);
+}
+
 }  // namespace
 }  // namespace cfpm::service

@@ -6,6 +6,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
+
+#include <unistd.h>
 
 namespace {
 
@@ -333,6 +336,89 @@ TEST(Cli, BooleanFlagRejectsAttachedValue) {
   const auto r = run("build gen:c17 --bound=yes");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("--bound does not take a value"), std::string::npos);
+}
+
+TEST(Cli, FlagOutsideACommandsSetIsAUsageError) {
+  // Each command accepts only its own flags; one it does not take used to
+  // be parsed and silently ignored. Nothing runs: no daemon is contacted.
+  const std::string rtl = std::string(CFPM_DATA_DIR) + "/datapath.rtl";
+  const std::pair<std::string, std::string> cases[] = {
+      {"info gen:c17", "--bound"},
+      {"build gen:c17", "--sp 0.3"},
+      {"estimate model.cfpm", "-m 5"},
+      {"worst model.cfpm", "--vectors 10"},
+      {"accuracy gen:c17", "--spec 2x2x8"},
+      {"trace gen:c17 -o never.vcd", "--threads 2"},
+      {"rtl " + rtl, "--bound"},
+      {"chip", "--socket s"},
+      {"sensitivity model.cfpm", "--st 0.2"},
+      {"equiv gen:c17 gen:c17", "-o out"},
+      {"fuzz", "--sp 0.2"},
+      {"serve --socket s", "--vectors 10"},
+      {"query build gen:c17 --socket s", "--sp 0.3"},
+      {"query eval gen:c17 --socket s", "--spec 2x2x8"},
+      {"query trace gen:c17 --socket s", "--threads 2"},
+      {"query chip --socket s", "--bound"},
+      {"query stats --socket s", "--vectors 5"},
+      {"query ping --socket s", "-m 3"},
+      {"query shutdown --socket s", "--output f"},
+  };
+  for (const auto& [command, flag] : cases) {
+    std::string name = command.substr(0, command.find(' '));
+    if (name == "query") name = command.substr(0, command.find(' ', 6));
+    const std::string spelling = flag.substr(0, flag.find(' '));
+    const auto r = run(command + " " + flag);
+    EXPECT_EQ(r.exit_code, 2) << command << " " << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find(spelling + " is not an option of cfpm " + name),
+              std::string::npos)
+        << command << " " << flag << "\n" << r.output;
+  }
+}
+
+TEST(Cli, OneRowChipTraceIsAUsageError) {
+  // One vector holds no transition: exit 2, not averages of 0.
+  const std::string path = ::testing::TempDir() + "/cli_one_row.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("0110100110010110\n", f);
+  std::fclose(f);
+  const auto r = run("chip --spec 2x2x8 --trace " + path);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("vectors must be >= 2"), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, PerfbenchDaemonArgvStartsAndShutsDown) {
+  // The repository benchmark starts its daemon with exactly this argv
+  // (--build-threads is parsed and ignored); it must keep parsing.
+  const std::string base = ::testing::TempDir() + "/cli_pb_" +
+                           std::to_string(::getpid());
+  const std::string sock = base + ".sock";
+  const std::string metrics = base + "_metrics.json";
+  std::remove(metrics.c_str());
+  ASSERT_EQ(std::system((std::string(CFPM_CLI_PATH) + " serve --socket " +
+                         sock + " --threads 2 --build-threads 1 "
+                         "--metrics-json " + metrics + " >/dev/null 2>&1 &")
+                            .c_str()),
+            0);
+  bool up = false;
+  for (int i = 0; i < 200 && !up; ++i) {
+    up = run("query ping --socket " + sock).exit_code == 0;
+    if (!up) ::usleep(20000);
+  }
+  ASSERT_TRUE(up) << "daemon never answered a ping";
+  const auto r = run("query shutdown --socket " + sock);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("server draining"), std::string::npos);
+  // The daemon writes its metrics snapshot as it exits.
+  bool written = false;
+  for (int i = 0; i < 200 && !written; ++i) {
+    written = std::ifstream(metrics).good();
+    if (!written) ::usleep(20000);
+  }
+  EXPECT_TRUE(written) << metrics;
+  std::remove(metrics.c_str());
 }
 
 // ---------------------------------------------------------------------------
