@@ -1,6 +1,8 @@
 // Micro-benchmarks of the bit-parallel zero-delay simulator.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "netlist/generators.hpp"
 #include "sim/simulator.hpp"
 #include "stats/markov.hpp"
@@ -60,6 +62,41 @@ void BM_ScalarVsParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(seq.num_transitions()));
 }
 BENCHMARK(BM_ScalarVsParallel);
+
+void BM_MarkovGenerate(benchmark::State& state) {
+  // Workload synthesis alone, the layer under every seeded eval: one
+  // Markov chain per input, 200k vectors. ns_per_bit is wall time per
+  // generated bit; it should not depend on (sp, st).
+  static constexpr stats::InputStatistics kPoints[] = {
+      {0.5, 0.05}, {0.35, 0.3}, {0.5, 0.5}};
+  const std::size_t inputs = static_cast<std::size_t>(state.range(0));
+  const stats::InputStatistics point = kPoints[state.range(1)];
+  constexpr std::size_t kVectors = 200000;
+  stats::MarkovSequenceGenerator gen(point, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const sim::InputSequence seq = gen.generate(inputs, kVectors);
+    benchmark::DoNotOptimize(seq.word(0, 0));
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  const double bits = static_cast<double>(state.iterations()) *
+                      static_cast<double>(inputs * kVectors);
+  state.SetItemsProcessed(static_cast<std::int64_t>(bits));
+  state.counters["ns_per_bit"] = ns / bits;
+  state.counters["sp"] = point.sp;
+  state.counters["st"] = point.st;
+}
+BENCHMARK(BM_MarkovGenerate)
+    ->ArgNames({"inputs", "point"})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({16, 2})
+    ->Args({49, 0})
+    ->Args({49, 1})
+    ->Args({49, 2})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -51,6 +51,15 @@ class InputSequence {
 
   std::size_t words_per_input() const noexcept { return words_per_input_; }
 
+  /// Input `i`'s whole stream, words_per_input() words, for writers that
+  /// fill 64 timesteps per store (the workload generators). Bits at
+  /// timesteps >= length() must stay zero: window64(), the simulators and
+  /// the empirical statistics read whole words.
+  std::span<std::uint64_t> stream(std::size_t input) {
+    CFPM_ASSERT(input < num_inputs_);
+    return {bits_.data() + input * words_per_input_, words_per_input_};
+  }
+
   /// 64 consecutive timesteps of input `i` starting at `t` (bit k = value
   /// at time t + k), zero-padded past length(). This is the gather primitive
   /// of the bit-parallel trace evaluator: one call replaces 64 bit() reads.

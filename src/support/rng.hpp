@@ -6,6 +6,7 @@
 // single 64-bit seed.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace cfpm {
@@ -61,6 +62,12 @@ class Xoshiro256 {
   /// Bernoulli draw with probability p of returning true.
   bool next_bool(double p) noexcept { return next_double() < p; }
 
+  /// next_bool(p) for `threshold == bernoulli_threshold(p)`: the same draw
+  /// and the same outcome, decided by one integer compare.
+  bool next_bool_below(std::uint64_t threshold) noexcept {
+    return (next() >> 11) < threshold;
+  }
+
   /// Uniform integer in [0, bound) using Lemire's method.
   std::uint64_t next_below(std::uint64_t bound) noexcept {
     if (bound == 0) return 0;
@@ -76,5 +83,18 @@ class Xoshiro256 {
 
   std::uint64_t state_[4];
 };
+
+/// Integer form of a Bernoulli probability: ceil(p * 2^53), clamped to
+/// [0, 2^53]. next_double() is x * 2^-53 for the integer x = next() >> 11,
+/// and scaling by a power of two is exact, so `next_double() < p` holds
+/// exactly when `x < bernoulli_threshold(p)`, for every p including NaN.
+/// Workload generators compute it once per call and compare integers per
+/// bit; the drawn bits are the ones next_bool(p) draws.
+inline std::uint64_t bernoulli_threshold(double p) noexcept {
+  constexpr double kScale = 0x1.0p53;
+  if (!(p > 0.0)) return 0;  // p <= 0 or NaN: never true
+  if (p >= 1.0) return std::uint64_t{1} << 53;  // always true
+  return static_cast<std::uint64_t>(std::ceil(p * kScale));
+}
 
 }  // namespace cfpm

@@ -820,9 +820,7 @@ struct Command {
 };
 
 const std::vector<Command> kCommands = {
-    // `info` accepts --vectors, with no effect: `info gen:c17
-    // --vectors=100` is the CLI test's pinned `--flag=value` case.
-    {"info", "<circuit>", cmd_info, "", {"--vectors"}},
+    {"info", "<circuit>", cmd_info, "", {}},
     {"build", "<circuit>", cmd_build, "",
      {"-m", "--bound", "-o", "--deadline-ms", "--no-degrade"}},
     {"estimate", "<model.cfpm>", cmd_estimate, "",

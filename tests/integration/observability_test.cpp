@@ -9,6 +9,7 @@
 #include "eval/experiment.hpp"
 #include "netlist/generators.hpp"
 #include "power/add_model.hpp"
+#include "serve/service.hpp"
 #include "sim/simulator.hpp"
 #include "support/governor.hpp"
 #include "support/metrics.hpp"
@@ -87,6 +88,36 @@ TEST(Observability, PhaseSpansCoverBuildAndEvaluation) {
   EXPECT_NE(json.find("\"eval.grid\""), std::string::npos);
   EXPECT_NE(json.find("\"eval.cell\""), std::string::npos);
   EXPECT_NE(json.find("\"sim.golden\""), std::string::npos);
+}
+
+TEST(Observability, ServedEvalNamesWorkloadSynthesis) {
+  // A seeded eval is synthesis plus one estimate_trace pass; both must be
+  // visible in a trace and metered once per call.
+  if (!metrics::compiled_in()) GTEST_SKIP() << "built with CFPM_NO_METRICS";
+  const netlist::Netlist n = netlist::gen::c17();
+  const netlist::GateLibrary lib = netlist::GateLibrary::uniform(5.0, 10.0);
+  power::AddModelOptions opt;
+  opt.max_nodes = 0;
+  const auto model = power::AddPowerModel::build(n, lib, opt);
+  metrics::reset_for_testing();
+  trace::clear();
+  trace::set_enabled(true);
+
+  service::EvalRequest request;
+  request.vectors = 300;
+  (void)service::evaluate(model, request);
+
+  trace::set_enabled(false);
+  std::ostringstream os;
+  trace::write_chrome_json(os);
+  const std::string json = os.str();
+  trace::clear();
+
+  EXPECT_NE(json.find("\"stats.generate\""), std::string::npos);
+  EXPECT_NE(json.find("\"power.trace\""), std::string::npos);
+  const metrics::Snapshot s = metrics::snapshot();
+  EXPECT_EQ(s.counter("stats.generate.call"), 1u);
+  EXPECT_EQ(s.counter("stats.generate.bit"), n.num_inputs() * 300u);
 }
 
 }  // namespace

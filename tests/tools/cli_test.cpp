@@ -327,9 +327,13 @@ TEST(Cli, MissingFlagValueIsAUsageError) {
 
 TEST(Cli, EqualsFormValuesParse) {
   // --flag=value must behave exactly like --flag value.
-  const auto r = run("info gen:c17 --vectors=100");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("gates   : 6"), std::string::npos);
+  const auto spaced = run("chip --spec 2x2x8 --vectors 100", false);
+  const auto joined = run("chip --spec=2x2x8 --vectors=100", false);
+  EXPECT_EQ(spaced.exit_code, 0) << spaced.output;
+  EXPECT_EQ(joined.exit_code, 0) << joined.output;
+  EXPECT_NE(spaced.output.find("100 vectors"), std::string::npos)
+      << spaced.output;
+  EXPECT_EQ(joined.output, spaced.output);
 }
 
 TEST(Cli, BooleanFlagRejectsAttachedValue) {
@@ -344,6 +348,7 @@ TEST(Cli, FlagOutsideACommandsSetIsAUsageError) {
   const std::string rtl = std::string(CFPM_DATA_DIR) + "/datapath.rtl";
   const std::pair<std::string, std::string> cases[] = {
       {"info gen:c17", "--bound"},
+      {"info gen:c17", "--vectors 100"},
       {"build gen:c17", "--sp 0.3"},
       {"estimate model.cfpm", "-m 5"},
       {"worst model.cfpm", "--vectors 10"},
