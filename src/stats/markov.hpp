@@ -45,8 +45,10 @@ class MarkovSequenceGenerator {
 
  private:
   InputStatistics stats_;
-  double p01_;
-  double p10_;
+  // bernoulli_threshold()s of sp (the stationary start), P(0->1), P(1->0).
+  std::uint64_t t_start_;
+  std::uint64_t t01_;
+  std::uint64_t t10_;
   Xoshiro256 rng_;
 };
 
