@@ -31,7 +31,8 @@ ChipTraceResult evaluate_trace(const power::RtlDesign& design,
     double peak = 0.0;
   };
   std::vector<Slot> slots(chunks);
-  const auto run_chunk = [&](std::size_t c) {
+  const auto run_chunk = [&](std::size_t c,
+                             std::vector<std::uint64_t>& scratch) {
     const std::size_t begin = c * kTraceChunk;
     const std::size_t end = std::min(begin + kTraceChunk, transitions);
     Slot& slot = slots[c];
@@ -40,7 +41,6 @@ ChipTraceResult evaluate_trace(const power::RtlDesign& design,
     // instance order; each instance's total is summed t-ascending.
     double cycle[kTraceChunk] = {};
     double values[kBlock];
-    std::vector<std::uint64_t> scratch;
     for (std::size_t i = 0; i < design.num_instances(); ++i) {
       const power::PowerModel& model = design.instance_model(i);
       const std::vector<std::size_t>& inputs = design.instance_input_map(i);
@@ -58,11 +58,8 @@ ChipTraceResult evaluate_trace(const power::RtlDesign& design,
       slot.peak = std::max(slot.peak, cycle[t]);
     }
   };
-  if (pool != nullptr) {
-    pool->run_indexed(chunks, run_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
-  }
+  run_indexed_with_scratch<std::vector<std::uint64_t>>(pool, chunks,
+                                                       run_chunk);
 
   // Ordered reduction: chunk order per instance, then instance order for
   // the total. Peak is a max, so reduction order cannot change it.

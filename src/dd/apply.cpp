@@ -95,6 +95,7 @@ Edge DdManager::apply_shortcut(Op op, Edge f, Edge g) const noexcept {
 Edge DdManager::apply(Op op, Edge f, Edge g) {
   CFPM_ASSERT(f != kNilEdge && g != kNilEdge);
   CFPM_ASSERT(!is_logical(op));  // logical ops route through ite
+  ensure_cache();
   maybe_gc();
   return apply_rec(op, f, g);
 }
@@ -148,6 +149,7 @@ Edge DdManager::apply_rec(Op op, Edge f, Edge g) {
 
 Edge DdManager::ite(Edge f, Edge g, Edge h) {
   CFPM_ASSERT(f != kNilEdge && g != kNilEdge && h != kNilEdge);
+  ensure_cache();
   maybe_gc();
   return ite_rec(f, g, h);
 }

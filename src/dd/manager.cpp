@@ -1,7 +1,12 @@
 #include "dd/manager.hpp"
 
+#include <sys/mman.h>
+
 #include <cmath>
 #include <cstring>
+#include <mutex>
+#include <new>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/error.hpp"
@@ -32,6 +37,55 @@ inline std::size_t hash_value(double v, std::size_t mask) noexcept {
 
 constexpr std::size_t kInitialBuckets = 256;  // power of two
 
+/// The last full-size cache table released in this process, kept mapped
+/// for the next grow: a loop that builds and drops managers (tests, the
+/// fuzzer, a build service) then reuses warm pages, where faulting in a
+/// fresh mapping costs ~10x the memset. At most one table waits here, so a
+/// process holds one spare however many frozen models it keeps.
+struct SpareTable {
+  std::mutex mutex;
+  void* pages = nullptr;
+  std::size_t bytes = 0;
+};
+
+SpareTable& spare_table() {
+  static auto* spare = new SpareTable();  // leaked: managers may outlive statics
+  return *spare;
+}
+
+/// A zero-filled table of `bytes` bytes: the spare when it fits, otherwise
+/// a fresh anonymous mapping (whose zero pages the kernel backs lazily).
+void* take_table(std::size_t bytes) {
+  SpareTable& spare = spare_table();
+  void* pages = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(spare.mutex);
+    if (spare.bytes == bytes) {
+      pages = std::exchange(spare.pages, nullptr);
+      spare.bytes = 0;
+    }
+  }
+  if (pages != nullptr) return std::memset(pages, 0, bytes);
+  pages = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return pages;
+}
+
+/// Parks a released table as the spare, or unmaps it when one is waiting.
+void give_table(void* pages, std::size_t bytes) noexcept {
+  SpareTable& spare = spare_table();
+  {
+    const std::lock_guard<std::mutex> lock(spare.mutex);
+    if (spare.pages == nullptr) {
+      spare.pages = pages;
+      spare.bytes = bytes;
+      return;
+    }
+  }
+  ::munmap(pages, bytes);
+}
+
 }  // namespace
 
 std::size_t DdManager::child_slot(Edge t, Edge e, std::size_t mask) noexcept {
@@ -43,7 +97,7 @@ std::size_t DdManager::child_slot(Edge t, Edge e, std::size_t mask) noexcept {
 DdManager::DdManager(std::size_t num_vars, DdConfig config)
     : config_(config) {
   CFPM_REQUIRE(config_.cache_log2_slots >= 4 && config_.cache_log2_slots <= 28);
-  cache_.resize(std::size_t{1} << config_.cache_log2_slots);
+  cache_ = cache_floor_;  // full size on the first apply/ITE
   terminals_.buckets.resize(kInitialBuckets, kNilIndex);
   // Pre-size the arena so early builds never pay a relocation; 4096 records
   // is 64 KiB, well under one unique table's worth of buckets.
@@ -54,7 +108,7 @@ DdManager::DdManager(std::size_t num_vars, DdConfig config)
   one_ = terminal(1.0);
 }
 
-DdManager::~DdManager() = default;
+DdManager::~DdManager() { release_cache(); }
 
 std::uint32_t DdManager::new_var() {
   const auto var = static_cast<std::uint32_t>(level_of_var_.size());
@@ -386,6 +440,22 @@ void DdManager::cache_insert(std::uint32_t op, Edge f, Edge g, Edge h,
       static_cast<std::size_t>(mix(lo * 0x9e3779b97f4a7c15ULL + hi)) &
       (cache_.size() - 1);
   cache_[slot] = CacheEntry{f, g, h, op, r};
+}
+
+void DdManager::grow_cache() {
+  const std::size_t slots = cache_full_slots();
+  // Zero bits are empty slots (see CacheEntry). The floor is never probed
+  // below full size, so a pending deferred flush has nothing left to do.
+  cache_ = {static_cast<CacheEntry*>(take_table(slots * sizeof(CacheEntry))),
+            slots};
+  cache_stale_ = false;
+}
+
+void DdManager::release_cache() noexcept {
+  if (cache_.data() == cache_floor_.data()) return;
+  give_table(cache_.data(), cache_.size_bytes());
+  cache_ = cache_floor_;
+  cache_stale_ = false;
 }
 
 void DdManager::cache_clear() noexcept {

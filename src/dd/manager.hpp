@@ -19,6 +19,7 @@
 //    caller-owned reference already applied ("referenced-return").
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -59,7 +60,8 @@ struct DdConfig {
   /// max(gc_min_dead, live nodes * gc_dead_fraction).
   std::size_t gc_min_dead = 4096;
   double gc_dead_fraction = 0.25;
-  /// log2 of the computed-cache slot count.
+  /// log2 of the computed-cache slot count while diagrams are being built
+  /// (the cache sits at DdManager::kCacheFloorSlots outside that window).
   unsigned cache_log2_slots = 18;
   /// Hard ceiling on allocated nodes; 0 means unlimited. Exceeding it
   /// throws cfpm::ResourceError (after attempting a GC).
@@ -118,6 +120,12 @@ class DdManager {
   std::uint64_t cache_lookups() const noexcept { return cache_lookups_; }
   std::uint64_t gc_runs() const noexcept { return gc_runs_; }
 
+  /// Slots the computed cache holds now: the floor until the first
+  /// apply/ITE, `1 << cache_log2_slots` from then on, and the floor again
+  /// after release_cache().
+  std::size_t cache_slots() const noexcept { return cache_.size(); }
+  static constexpr std::size_t kCacheFloorSlots = 16;
+
   /// Fraction of computed-cache lookups (apply and ite share one cache)
   /// answered from the cache; 0 when no lookup has happened yet.
   double cache_hit_rate() const noexcept {
@@ -139,6 +147,13 @@ class DdManager {
 
   /// Forces a garbage collection; returns the number of nodes reclaimed.
   std::size_t collect_garbage();
+
+  /// Shrinks the computed cache to its floor, for a manager whose diagrams
+  /// are finished (a frozen model evaluates through its compiled copy).
+  /// The full table becomes the process's one spare table, or is unmapped
+  /// when a spare is already waiting. Not a flush: the dd.cache.clear
+  /// counters do not move. The next apply/ITE regrows the cache.
+  void release_cache() noexcept;
 
   // ----- dynamic reordering (reorder.cpp) ----------------------------------
 
@@ -164,16 +179,18 @@ class DdManager {
 
   /// One slot of the unified computed cache: binary apply entries store
   /// h == kNilEdge and op == the Op value; ITE entries store all three
-  /// operands under kOpIte. Direct-mapped and lossy.
+  /// operands under kOpIte. Direct-mapped and lossy. The empty slot is all
+  /// zero bits, which no key matches (a key with h == 0 is an ITE key, and
+  /// ITE keys carry op == kOpIte), so fresh zero pages are an empty table.
   struct CacheEntry {
-    Edge f = kNilEdge;
-    Edge g = kNilEdge;
-    Edge h = kNilEdge;
-    std::uint32_t op = kNoOp;
-    Edge result = kNilEdge;
+    Edge f = 0;
+    Edge g = 0;
+    Edge h = 0;
+    std::uint32_t op = 0;
+    Edge result = 0;
   };
-  static constexpr std::uint32_t kNoOp = 0xffffffffu;
   static constexpr std::uint32_t kOpIte = 0x100u;  // above every Op value
+  static_assert(kNilEdge != 0 && kOpIte != 0);
 
   // --- node/edge accessors -------------------------------------------------
   const DdNode& node_at(std::uint32_t index) const noexcept {
@@ -218,6 +235,16 @@ class DdManager {
   Edge apply_shortcut(Op op, Edge f, Edge g) const noexcept;
 
   // --- unified computed cache ----------------------------------------------
+  /// Grows a floor-sized cache to full size. Called at the apply()/ite()
+  /// entry points, never from the recursion: the allocation may throw
+  /// std::bad_alloc, which the noexcept cache_lookup could not pass on.
+  void ensure_cache() {
+    if (cache_.size() < cache_full_slots()) grow_cache();
+  }
+  void grow_cache();
+  std::size_t cache_full_slots() const noexcept {
+    return std::size_t{1} << config_.cache_log2_slots;
+  }
   Edge cache_lookup(std::uint32_t op, Edge f, Edge g, Edge h) noexcept;
   void cache_insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge r) noexcept;
   void cache_clear() noexcept;
@@ -262,7 +289,13 @@ class DdManager {
   std::vector<std::uint32_t> level_of_var_;
   std::vector<std::uint32_t> var_at_level_;
 
-  std::vector<CacheEntry> cache_;
+  /// The computed cache: cache_floor_ (inside the manager, so a fresh or
+  /// released manager holds no table) or, once grown, an anonymous page
+  /// mapping of its own, which release_cache() parks as the process's one
+  /// spare or unmaps. Through malloc, freed multi-MiB tables stayed
+  /// resident in glibc's thread arenas.
+  std::span<CacheEntry> cache_;
+  std::array<CacheEntry, kCacheFloorSlots> cache_floor_;
   /// Set by a swap that frees nodes: the cache may name recycled indices.
   /// The flush is deferred to the next cache_lookup (the only reader), so
   /// a sift pays for at most one flush however many swaps free nodes, and

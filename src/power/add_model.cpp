@@ -231,7 +231,12 @@ AddPowerModel::AddPowerModel(std::shared_ptr<dd::DdManager> mgr,
       num_inputs_(num_inputs),
       order_(order),
       mode_(mode),
-      circuit_name_(std::move(circuit_name)) {}
+      circuit_name_(std::move(circuit_name)) {
+  // The model is frozen: evaluation runs on compiled_, and nothing left on
+  // the manager (save, compress, worst, sensitivities) is on a hot path, so
+  // its ~5 MiB computed cache goes back to the floor until the next apply.
+  mgr_->release_cache();
+}
 
 /// Last rung of the ladder: a constant (Con-style) estimator that can be
 /// built with a handful of nodes and no budget pressure. In upper-bound

@@ -58,9 +58,9 @@ TraceEstimate PowerModel::estimate_trace(const sim::InputSequence& seq,
   std::iota(identity.begin(), identity.end(), std::size_t{0});
   std::vector<double> totals(chunks, 0.0);
   std::vector<double> peaks(chunks, 0.0);
-  const auto run_chunk = [&](std::size_t c) {
+  const auto run_chunk = [&](std::size_t c,
+                             std::vector<std::uint64_t>& scratch) {
     const std::size_t end = std::min((c + 1) * kTraceChunk, transitions);
-    std::vector<std::uint64_t> scratch;
     double values[kBlock];
     double total = 0.0;
     double peak = 0.0;
@@ -75,11 +75,8 @@ TraceEstimate PowerModel::estimate_trace(const sim::InputSequence& seq,
     totals[c] = total;
     peaks[c] = peak;
   };
-  if (pool != nullptr) {
-    pool->run_indexed(chunks, run_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
-  }
+  run_indexed_with_scratch<std::vector<std::uint64_t>>(pool, chunks,
+                                                       run_chunk);
   // Ordered reduction: identical association regardless of thread count.
   for (std::size_t c = 0; c < chunks; ++c) {
     est.total_ff += totals[c];

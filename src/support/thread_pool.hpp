@@ -8,6 +8,8 @@
 // is bit-identical for any pool size (see PowerModel::estimate_trace).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -73,5 +75,29 @@ class ThreadPool {
   std::exception_ptr error_;
   bool stop_ = false;
 };
+
+/// Invokes fn(i, scratch) once for every i in [0, count), over `pool`
+/// (inline when pool is nullptr). At most one lane runs per pool thread;
+/// each lane default-constructs one `Scratch` and hands it to every index
+/// it claims, so a buffer the work needs is allocated once per lane per
+/// call, not once per index. Lanes claim indices in turn, so which lane
+/// runs which index is unspecified: results must go to per-index slots.
+template <class Scratch, class Fn>
+void run_indexed_with_scratch(ThreadPool* pool, std::size_t count,
+                              const Fn& fn) {
+  std::atomic<std::size_t> next{0};
+  const auto lane = [&](std::size_t) {
+    Scratch scratch;
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i, scratch);
+    }
+  };
+  if (pool == nullptr) {
+    lane(0);
+  } else {
+    pool->run_indexed(std::min(count, pool->num_threads()), lane);
+  }
+}
 
 }  // namespace cfpm

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
+#include "support/metrics.hpp"
+#include "support/rng.hpp"
 
 namespace cfpm::dd {
 namespace {
@@ -169,6 +171,113 @@ TEST(DdManager, CacheStatisticsAdvance) {
   for (std::uint32_t v = 1; v < 6; ++v) g = g & mgr.bdd_var(v);
   EXPECT_EQ(f, g);
   EXPECT_GT(mgr.cache_lookups(), 0u);
+}
+
+// Builds the same pseudo-random mix of BDD and ADD operations in any
+// manager, with a sift halfway through. With `release_midway` the cache is
+// released right after that sift (a deferred flush is pending then) and
+// regrows on the next apply.
+std::vector<Add> cache_battery(DdManager& mgr, bool release_midway) {
+  constexpr std::size_t kVars = 8;
+  Xoshiro256 rng(23);
+  std::vector<Add> kept;
+  Add sum = mgr.constant(0.0);
+  for (int i = 0; i < 40; ++i) {
+    if (i == 20) {
+      mgr.sift();
+      if (release_midway) {
+        mgr.release_cache();
+        EXPECT_EQ(mgr.cache_slots(), DdManager::kCacheFloorSlots);
+      }
+    }
+    const auto var = [&] {
+      return mgr.bdd_var(static_cast<std::uint32_t>(rng.next_below(kVars)));
+    };
+    const Bdd a = var(), b = var(), c = var();
+    const Bdd f = rng.next_bool(0.5) ? ((a & !b) | c) : ((a ^ b) & !c);
+    sum = sum + Add(f).times(1.0 + static_cast<double>(rng.next_below(7)));
+    if (i % 5 == 4) kept.push_back(sum.max(Add(f)));
+  }
+  kept.push_back(sum);
+  return kept;
+}
+
+TEST(DdManager, CacheStartsAtFloorAndGrowsOnFirstOperation) {
+  DdConfig config;
+  config.cache_log2_slots = 10;
+  DdManager mgr(4, config);
+  EXPECT_EQ(mgr.cache_slots(), DdManager::kCacheFloorSlots);
+  const Bdd a = mgr.bdd_var(0);
+  const Bdd b = mgr.bdd_var(1);
+  const Add k = mgr.constant(2.0);
+  EXPECT_EQ(mgr.cache_slots(), DdManager::kCacheFloorSlots);  // no apply yet
+  const Bdd f = a & b;  // ITE entry point
+  EXPECT_EQ(mgr.cache_slots(), 1024u);
+  mgr.release_cache();
+  EXPECT_EQ(mgr.cache_slots(), DdManager::kCacheFloorSlots);
+  const Add g = Add(f) + k;  // apply entry point
+  EXPECT_EQ(mgr.cache_slots(), 1024u);
+  std::vector<std::uint8_t> one_one{1, 1, 0, 0};
+  EXPECT_EQ(g.eval(one_one), 3.0);
+}
+
+TEST(DdManager, ReleasedCacheRegrowsToTheSameDiagrams) {
+  DdManager plain(8);
+  DdManager released(8);
+  const std::vector<Add> want = cache_battery(plain, false);
+  const std::vector<Add> got = cache_battery(released, true);
+  EXPECT_EQ(released.cache_slots(), plain.cache_slots());
+  EXPECT_EQ(released.live_nodes(), plain.live_nodes());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].size(), want[k].size()) << "result " << k;
+    for (unsigned m = 0; m < 256; ++m) {
+      std::vector<std::uint8_t> a(8);
+      for (unsigned v = 0; v < 8; ++v) a[v] = (m >> v) & 1u;
+      ASSERT_EQ(got[k].eval(a), want[k].eval(a)) << "result " << k;
+    }
+  }
+}
+
+TEST(DdManager, RegrownCacheHoldsNoEntryOfAnotherManager) {
+  // A released table is reused by the next manager that grows one. Arena
+  // indices repeat across managers, so an entry left in it would name
+  // another manager's nodes: here a stale (x & y) hit would hand b the
+  // node of var 1. ctest runs this in a process of its own, where no
+  // spare waits yet, so a's table is the one b takes.
+  DdConfig config;
+  config.cache_log2_slots = 11;
+  {
+    DdManager a(4, config);
+    const Bdd x = a.bdd_var(0);
+    const Bdd y = a.bdd_var(1);
+    const Bdd f = x & y;
+  }
+  DdManager b(4, config);
+  const Bdd x = b.bdd_var(2);
+  const Bdd y = b.bdd_var(3);
+  const Bdd other = b.bdd_var(1);
+  const Bdd f = x & y;
+  for (unsigned m = 0; m < 16; ++m) {
+    std::vector<std::uint8_t> v(4);
+    for (unsigned k = 0; k < 4; ++k) v[k] = (m >> k) & 1u;
+    EXPECT_EQ(f.eval(v), v[2] && v[3]) << "assignment " << m;
+  }
+}
+
+TEST(DdManager, ReleaseIsNotAFlush) {
+  if (!metrics::compiled_in()) GTEST_SKIP() << "metrics compiled out";
+  DdManager mgr(8);
+  const std::vector<Add> kept = cache_battery(mgr, false);
+  ASSERT_GT(mgr.cache_slots(), DdManager::kCacheFloorSlots);
+  const metrics::Snapshot before = metrics::snapshot();
+  mgr.release_cache();
+  mgr.release_cache();  // already at the floor: nothing to do
+  const metrics::Snapshot after = metrics::snapshot();
+  EXPECT_EQ(mgr.cache_slots(), DdManager::kCacheFloorSlots);
+  EXPECT_EQ(after.counter("dd.cache.clear"), before.counter("dd.cache.clear"));
+  EXPECT_EQ(after.counter("dd.cache.clear.slots"),
+            before.counter("dd.cache.clear.slots"));
 }
 
 }  // namespace

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "netlist/generators.hpp"
 #include "netlist/transform.hpp"
 #include "sim/simulator.hpp"
+#include "support/governor.hpp"
 #include "support/rng.hpp"
 
 namespace cfpm::power {
@@ -343,6 +348,58 @@ TEST(AddModel, BuildInfoPopulated) {
   EXPECT_GE(model.build_info().build_seconds, 0.0);
   EXPECT_GT(model.build_info().peak_live_nodes, 0u);
   EXPECT_NE(model.name().find("cmp8"), std::string::npos);
+}
+
+std::size_t cache_slots(const AddPowerModel& m) {
+  return m.function().manager()->cache_slots();
+}
+
+std::string saved(const AddPowerModel& m) {
+  std::ostringstream os;
+  m.save(os);
+  return os.str();
+}
+
+TEST(AddModel, FrozenModelsKeepOnlyTheCacheFloor) {
+  const Netlist n = netlist::gen::magnitude_comparator(6);
+  const GateLibrary lib = GateLibrary::standard();
+  constexpr std::size_t kFloor = dd::DdManager::kCacheFloorSlots;
+  AddModelOptions opt;
+  opt.max_nodes = 30;
+  const AddPowerModel built = AddPowerModel::build(n, lib, opt);
+  EXPECT_EQ(cache_slots(built), kFloor);
+  EXPECT_EQ(cache_slots(built.compress(10)), kFloor);
+  std::istringstream is(saved(built));
+  EXPECT_EQ(cache_slots(AddPowerModel::load(is)), kFloor);
+
+  auto governor = std::make_shared<Governor>();
+  governor->set_deadline(std::chrono::milliseconds(0));
+  AddModelOptions expired = opt;
+  expired.dd_config.governor = governor;
+  const AddPowerModel fallback = AddPowerModel::build(n, lib, expired);
+  ASSERT_EQ(fallback.build_info().outcome, BuildOutcome::kFallback);
+  EXPECT_EQ(cache_slots(fallback), kFloor);
+}
+
+TEST(AddModel, CompressOnAFrozenManagerSavesTheSameBytes) {
+  const Netlist n = netlist::gen::magnitude_comparator(6);
+  const GateLibrary lib = GateLibrary::standard();
+  const AddPowerModel frozen = AddPowerModel::build(n, lib, exact_options());
+  const AddPowerModel warm = AddPowerModel::build(n, lib, exact_options());
+  const std::size_t full = std::size_t{1} << dd::DdConfig{}.cache_log2_slots;
+  for (const std::size_t m : {40u, 10u, 1u}) {
+    for (const dd::ApproxMode mode :
+         {dd::ApproxMode::kAverage, dd::ApproxMode::kUpperBound}) {
+      // An apply regrows warm's cache (each compress freezes it again).
+      const dd::Add doubled = warm.function() + warm.function();
+      ASSERT_EQ(cache_slots(warm), full);
+      EXPECT_DOUBLE_EQ(doubled.max_value(), 2 * warm.worst_case_ff());
+      ASSERT_EQ(cache_slots(frozen), dd::DdManager::kCacheFloorSlots);
+      EXPECT_EQ(saved(frozen.compress(m, mode)), saved(warm.compress(m, mode)))
+          << "m " << m;
+    }
+  }
+  EXPECT_EQ(saved(frozen), saved(warm));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -136,6 +137,32 @@ TEST(ThreadPool, ZeroCountIsANoOp) {
   bool called = false;
   pool.run_indexed(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// Every index runs exactly once, and scratch is built once per lane, not
+// once per index: at most one Scratch per pool thread (one when serial).
+TEST(ThreadPool, ScratchIsBuiltOncePerLane) {
+  struct Scratch {
+    bool used = false;
+  };
+  constexpr std::size_t kCount = 200;
+  for (const std::size_t threads : {0u, 1u, 3u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads != 0) pool = std::make_unique<ThreadPool>(threads);
+    std::vector<std::atomic<int>> runs(kCount);
+    std::atomic<std::size_t> lanes{0};
+    run_indexed_with_scratch<Scratch>(
+        pool.get(), kCount, [&](std::size_t i, Scratch& scratch) {
+          if (!scratch.used) {
+            scratch.used = true;
+            ++lanes;
+          }
+          ++runs[i];
+        });
+    for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(runs[i].load(), 1);
+    EXPECT_GE(lanes.load(), 1u);
+    EXPECT_LE(lanes.load(), threads == 0 ? 1u : threads) << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
